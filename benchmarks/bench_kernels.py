@@ -2,11 +2,14 @@
 
 The backend is chosen at import time from KIRCHHOFF_LAB_BACKEND, so the
 parent process forks one worker per backend and tabulates the timings.
+Where numba is not importable only the numpy worker runs, and the script
+prints "numba unavailable" before its timings.
 
     python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -70,8 +73,9 @@ def main() -> int:
         worker(args.repeats)
         return 0
 
+    have_numba = importlib.util.find_spec("numba") is not None
     results = {}
-    for backend in ("numba", "numpy"):
+    for backend in ("numba", "numpy") if have_numba else ("numpy",):
         env = dict(os.environ, KIRCHHOFF_LAB_BACKEND=backend)
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--worker",
@@ -84,6 +88,13 @@ def main() -> int:
         assert data["backend"] == backend, "backend selection did not stick"
         results[backend] = data["timings"]
 
+    if not have_numba:
+        print("numba unavailable")
+        width = max(map(len, results["numpy"]))
+        print(f"{'workload':<{width}}  {'numpy':>10}")
+        for name, tp in results["numpy"].items():
+            print(f"{name:<{width}}  {tp:>9.4f}s")
+        return 0
     width = max(map(len, results["numba"]))
     print(f"{'workload':<{width}}  {'numba':>10}  {'numpy':>10}  speedup")
     for name in results["numba"]:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from . import constants
 from .continuation import (
     BranchPoint,
+    _point,
     estimate_Lambda_f,
     sweep_b_threshold,
     sweep_lambda,
@@ -125,6 +126,10 @@ _PARSERS = {
     "out": str,
 }
 
+# config keys whose ExperimentConfig field is named differently
+_FIELDS = {"f": "forcing", "lambda": "lam", "lambda-grid": "lam_grid",
+           "b-grid": "b_grid"}
+
 _NEED_EXPONENTS = ("solve", "sweep", "threshold", "verify", "b0-scan")
 
 
@@ -173,23 +178,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind == "sweep" and "lambda-grid" not in seen:
         raise ConfigError("missing required key: lambda-grid")
 
-    cfg = ExperimentConfig(
-        kind=kind,
-        domain=seen["domain"],
-        forcing=seen.get("f"),
-        b=seen.get("b"),
-        alpha=seen.get("alpha"),
-        p=seen.get("p"),
-        lam=seen.get("lambda", 0.0),
-        lam_grid=seen.get("lambda-grid", ()),
-        b_grid=seen.get("b-grid", ()),
-        tol=seen.get("tol", 1e-8),
-        max_iter=seen.get("max_iter", 500),
-        damping=seen.get("damping", 1.0),
-        path_nodes=seen.get("path_nodes", 17),
-        seed=seen.get("seed", 42),
-        out=seen.get("out", "out"),
-    )
+    cfg = ExperimentConfig(kind=kind,
+                           **{_FIELDS.get(k, k): v for k, v in seen.items()})
     if cfg.p is not None and cfg.alpha is not None:
         dim = {"interval": 1, "rectangle": 2, "ball": 3}[cfg.domain[0]]
         try:
@@ -227,13 +217,6 @@ def _params_of(config: ExperimentConfig, mesh, forcing, lam: float) -> ProblemPa
     f = forcing.field if (forcing is not None and lam > 0.0) else None
     return ProblemParams(b=config.b, alpha=config.alpha, p=config.p,
                          lam=lam, f=f)
-
-
-def _branch_row(lam: float, out, mesh) -> BranchPoint:
-    return BranchPoint(lam=lam, solver=out.solver, converged=out.converged,
-                       positivity=out.positivity, seminorm=out.seminorm,
-                       sup_norm=sup_norm(mesh, out.solution),
-                       energy_total=out.energy.total, residual=out.residual)
 
 
 def _write_branch_csv(path: pathlib.Path, points) -> None:
@@ -357,7 +340,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             if config.kind == "verify":
                 outs = _verify_checks(lines, mesh, params, solver_cfg,
                                       regime, forcing, outs)
-            rows = [_branch_row(config.lam, o, mesh) for o in outs]
+            rows = [_point(config.lam, o, mesh) for o in outs]
 
         elif config.kind == "sweep":
             params = _params_of(config, mesh, forcing, max(config.lam_grid))
@@ -411,9 +394,6 @@ def run_experiment(config: ExperimentConfig) -> int:
                    f"[{_fmt(rep.bracket_lo)}, {_fmt(rep.bracket_hi)}]")
             extra_files["bscan.csv"] = scan
 
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KirchhoffLabError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -446,10 +426,7 @@ def main(argv=None) -> int:
     try:
         text = pathlib.Path(args.config).read_text(encoding="utf-8")
         config = parse_config(text)
-    except OSError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.command == "verify":

@@ -17,24 +17,23 @@ Three drivers:
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import constants
 from .exceptions import ConvergenceError, KirchhoffLabError, RegimeError
 from .mesh import DomainMesh, GridFunction, h1_seminorm, sup_norm
 from .problem import ProblemParams, compute_b0, regime_letter, require_member
+from .scalar_reduction import consistency_root
 from .solvers import (
     SolveOutcome,
     SolverConfig,
     descent_minimize,
+    distinct_positive,
     mountain_pass_search,
     multi_start,
     newton_nonlocal,
     picard_iterate,
+    thread_map,
 )
 from .verify import homogeneous_shooting
 
@@ -65,19 +64,6 @@ def _point(lam: float, out: SolveOutcome, mesh: DomainMesh,
         residual=out.residual,
         fold_flag=fold,
     )
-
-
-def _distinct_positive(outcomes, tol):
-    """Converged strictly positive outcomes, energy-sorted, sup-deduplicated."""
-    good = [o for o in outcomes
-            if o.converged and o.positivity == "strictly-positive"]
-    good.sort(key=lambda o: o.energy.total)
-    kept = []
-    for o in good:
-        if all(float(np.max(np.abs(o.solution.values - k.solution.values)))
-               > 10.0 * tol for k in kept):
-            kept.append(o)
-    return kept
 
 
 def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
@@ -116,7 +102,7 @@ def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
             outcomes.append(mountain_pass_search(mesh, p_lam, config))
         except KirchhoffLabError:
             pass
-        kept = _distinct_positive(outcomes, config.tol)
+        kept = distinct_positive(outcomes, config.tol)
         if kept:
             sem = kept[0].seminorm
             fold = (warm_failed and prev_sem is not None and increments != []
@@ -164,7 +150,7 @@ def _vote(mesh, params, config, warm):
                 outcomes.append(solver(mesh, params, config))
             except KirchhoffLabError:
                 pass
-        kept = _distinct_positive(outcomes, config.tol)
+        kept = distinct_positive(outcomes, config.tol)
         if kept:
             return kept[0]
         cfg = config if attempt == 0 else replace(config, seed=config.seed + 1)
@@ -270,38 +256,6 @@ def _semilinear_base(mesh: DomainMesh, p: float, config: SolverConfig):
     raise ConvergenceError("no positive base solution for the power problem")
 
 
-def _scalar_root(G: float, beta: float, b: float):
-    """Smallest positive root of (1+bt)^beta G = t, or None."""
-    def zeta(t):
-        return (1.0 + b * t) ** beta * G - t
-
-    if beta > 1.0:
-        slope0 = beta * b * G
-        if slope0 >= 1.0:
-            return None
-        t_star = (slope0 ** (-1.0 / (beta - 1.0)) - 1.0) / b
-        if zeta(t_star) > 0.0:
-            return None
-        lo, hi = 0.0, t_star
-    else:
-        lo, hi = 0.0, max(1.0, G)
-        for _ in range(200):
-            if zeta(hi) < 0.0:
-                break
-            hi *= 2.0
-        else:
-            return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if zeta(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
                       b_grid, config: SolverConfig | None = None) -> BThresholdReport:
     """Existence of the unforced problem across a b grid, decided two ways.
@@ -327,7 +281,7 @@ def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
     beta = 2.0 * params.alpha / (params.p - 1.0)
 
     def probe(b: float) -> BThresholdPoint:
-        t = _scalar_root(G_grid, beta, b)
+        t = consistency_root(G_grid, beta, b)
         grid_found = False
         if t is not None:
             cand = (1.0 + b * t) ** (1.0 / (params.p - 1.0)) * base
@@ -341,12 +295,7 @@ def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
         return BThresholdPoint(b, grid_found, pr.found, defect,
                                grid_found == pr.found)
 
-    threads = int(os.environ.get("KIRCHHOFF_LAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pts = list(pool.map(probe, b_grid))
-    else:
-        pts = [probe(b) for b in b_grid]
+    pts = thread_map(probe, b_grid)
     found_bs = [pt.b for pt in pts if pt.oracle_found]
     missing_bs = [pt.b for pt in pts if not pt.oracle_found]
     lo = max(found_bs) if found_bs else 0.0

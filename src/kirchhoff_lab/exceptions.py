@@ -9,8 +9,8 @@ class MeshError(KirchhoffLabError):
     """Bad mesh construction arguments."""
 
 
-class MeshMismatchError(KirchhoffLabError):
-    """Grid functions attached to different meshes were combined."""
+class MeshMismatchError(MeshError):
+    """A field on another mesh, or an array of the wrong shape, was used."""
 
 
 class RegimeError(KirchhoffLabError):

@@ -42,6 +42,7 @@ class DomainMesh:
     kind: str
     dim: int
     h: float
+    spacing: tuple  # per axis: (hx, hy) for a rectangle, (h,) otherwise
     extents: tuple
     shape: tuple  # interior node count per axis
     coords: tuple  # interior coordinate arrays, one per axis (r for ball)
@@ -151,7 +152,7 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         sup = np.full(m, -inv_h2)
         face_w = np.full(m + 1, 1.0 / h)
         return DomainMesh(
-            kind, 1, h, (L,), (m,), (xs,), weights,
+            kind, 1, h, (h,), (L,), (m,), (xs,), weights,
             stencil=(sub, diag, sup), face_weights=(face_w,), centered=centered,
         )
 
@@ -175,7 +176,7 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         shape = (nx - 2, ny - 2)
         weights = np.full(shape, hx * hy)
         return DomainMesh(
-            kind, 2, max(hx, hy), (Lx, Ly), shape, (xs, ys), weights,
+            kind, 2, max(hx, hy), (hx, hy), (Lx, Ly), shape, (xs, ys), weights,
             centered=centered,
         )
 
@@ -200,7 +201,7 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         r_faces = h * np.arange(m + 1)  # r at nodes 0..m, r_m = R
         face_w = (_OMEGA3 / h) * r_faces[:-1] * r_faces[1:]
         return DomainMesh(
-            kind, 3, h, (R,), (m,), (r,), weights,
+            kind, 3, h, (h,), (R,), (m,), (r,), weights,
             stencil=(sub, diag, sup), face_weights=(face_w,),
             symmetry_origin=True,
         )
@@ -224,8 +225,7 @@ def laplacian_apply(mesh: DomainMesh, u) -> GridFunction:
     vals = _values(mesh, u)
     out = np.empty_like(vals)
     if mesh.kind == "rectangle":
-        hx = mesh.extents[0] / (mesh.shape[0] + 1)
-        hy = mesh.extents[1] / (mesh.shape[1] + 1)
+        hx, hy = mesh.spacing
         _kernels.lap2d_apply(vals, out, 1.0 / hx**2, 1.0 / hy**2)
     else:
         sub, diag, sup = mesh.stencil
@@ -249,8 +249,7 @@ def poisson_solve(mesh: DomainMesh, rhs, tol: float = 1e-12) -> GridFunction:
 
 
 def _poisson2d(mesh: DomainMesh, rhs: np.ndarray, tol: float) -> np.ndarray:
-    hx = mesh.extents[0] / (mesh.shape[0] + 1)
-    hy = mesh.extents[1] / (mesh.shape[1] + 1)
+    hx, hy = mesh.spacing
     ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
     b_norm = np.sqrt(np.sum(rhs * rhs))
     x = np.zeros_like(rhs)
@@ -283,8 +282,7 @@ def dense_operator(mesh: DomainMesh) -> np.ndarray:
         sub, diag, sup = mesh.stencil
         return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
     mx, my = mesh.shape
-    hx = mesh.extents[0] / (mx + 1)
-    hy = mesh.extents[1] / (my + 1)
+    hx, hy = mesh.spacing
     ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
     n = mx * my
     A = np.zeros((n, n))
@@ -318,8 +316,7 @@ def h1_seminorm(mesh: DomainMesh, u) -> float:
     vals = _values(mesh, u)
     if mesh.kind == "rectangle":
         mx, my = mesh.shape
-        hx = mesh.extents[0] / (mx + 1)
-        hy = mesh.extents[1] / (my + 1)
+        hx, hy = mesh.spacing
         px = np.zeros((mx + 2, my))
         px[1:-1, :] = vals
         py = np.zeros((mx, my + 2))

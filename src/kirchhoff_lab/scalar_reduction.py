@@ -10,6 +10,8 @@ whose unique root recovers the seminorm of the unknown.  The routines
 here solve that equation and apply the three exact change-of-variables
 tricks built on it: the linear comparison solve, the per-step rescaling
 of the monotone iteration, and the reduction to a semilinear problem.
+For the unforced problem the same reduction gives the consistency
+equation (1 + b t)^beta G = t, solved by ``consistency_root``.
 """
 
 from dataclasses import dataclass
@@ -119,3 +121,42 @@ def picard_rescale(mesh: DomainMesh, params: ProblemParams, w: GridFunction) -> 
     c = h1_seminorm(mesh, w)
     y = solve_h_root(params.b, params.alpha, c)
     return (1.0 / (1.0 + params.b * y**params.alpha)) * w
+
+
+def consistency_root(G: float, beta: float, b: float) -> float | None:
+    """Smallest positive root of zeta(t) = (1 + b t)^beta G - t, or None.
+
+    An unforced semilinear solution w with G = |grad w|^{2 alpha} scales
+    to a nonlocal one exactly when t = |grad u|^{2 alpha} solves the
+    equation, with beta = 2 alpha / (p - 1).  For beta > 1 zeta is convex
+    with its minimum at t*, so a root exists iff zeta'(0) < 1 and
+    zeta(t*) <= 0; otherwise zeta is bracketed by doubling.
+    """
+    def zeta(t):
+        return (1.0 + b * t) ** beta * G - t
+
+    if beta > 1.0:
+        slope0 = beta * b * G
+        if slope0 >= 1.0:
+            return None
+        t_star = (slope0 ** (-1.0 / (beta - 1.0)) - 1.0) / b
+        if zeta(t_star) > 0.0:
+            return None
+        lo, hi = 0.0, t_star
+    else:
+        lo, hi = 0.0, max(1.0, G)
+        for _ in range(200):
+            if zeta(hi) < 0.0:
+                break
+            hi *= 2.0
+        else:
+            return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if zeta(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)

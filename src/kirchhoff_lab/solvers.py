@@ -25,7 +25,7 @@ nonexistence get probed.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .exceptions import BarrierError, KirchhoffLabError, RegimeError
 from .mesh import (
     DomainMesh,
     GridFunction,
+    _values,
     h1_seminorm,
     laplacian_apply,
     lp_norm,
@@ -234,7 +235,7 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     update formula.  Nodes with u <= 0 carry zero potential derivative.
     """
     lam_f = forcing_values(mesh, params).ravel()
-    u = _values_of(mesh, initial).ravel().copy()
+    u = _values(mesh, initial).ravel().copy()
     scale = 1.0 + float(np.max(np.abs(lam_f)))
     history = []
     for it in range(config.max_iter):
@@ -283,14 +284,6 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
                             history=history)
     return _outcome(mesh, params, u.reshape(mesh.shape), "newton", config.max_iter,
                     config, False, message="max iterations reached", history=history)
-
-
-def _values_of(mesh, u):
-    if isinstance(u, GridFunction):
-        if u.mesh is not mesh:
-            raise KirchhoffLabError("initial guess lives on a different mesh")
-        return u.values
-    return np.asarray(u, dtype=float).reshape(mesh.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +374,8 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
             if ok and ball and cand.seminorm > rho0 * (1 + 1e-12):
                 ok = False
             if ok:
-                return SolveOutcome(
-                    solution=cand.solution, solver="descent",
-                    iterations=it + cand.iterations, residual=cand.residual,
-                    energy=cand.energy, converged=cand.converged,
-                    positivity=cand.positivity, seminorm=cand.seminorm,
+                return replace(
+                    cand, solver="descent", iterations=it + cand.iterations,
                     message="newton handoff",
                     residual_history=tuple(history) + cand.residual_history,
                 )
@@ -516,11 +506,9 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
                     and cand.positivity == "strictly-positive"
                     and sup_norm(mesh, cand.solution) > 10.0 * config.tol)
             if good:
-                return SolveOutcome(
-                    solution=cand.solution, solver="mountain-pass",
-                    iterations=sweep + cand.iterations, residual=cand.residual,
-                    energy=cand.energy, converged=cand.converged,
-                    positivity=cand.positivity, seminorm=cand.seminorm,
+                return replace(
+                    cand, solver="mountain-pass",
+                    iterations=sweep + cand.iterations,
                     message=f"pass level {energies[j]:.6g} (floor E0={geom.E0:.6g})",
                     residual_history=tuple(history),
                 )
@@ -564,6 +552,39 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
 # multi-start driver
 
 
+def thread_map(fn, items) -> list:
+    """[fn(x) for x in items] in order, on KIRCHHOFF_LAB_THREADS threads.
+
+    The variable is read on every call: unset or empty means 1, and a
+    value <= 1 runs sequentially.  Results merge by index, never by
+    arrival, so the thread count changes wall time only.
+    """
+    raw = os.environ.get("KIRCHHOFF_LAB_THREADS", "")
+    try:
+        threads = int(raw) if raw.strip() else 1
+    except ValueError:
+        raise ValueError(
+            f"KIRCHHOFF_LAB_THREADS must be an integer, got {raw!r}") from None
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def distinct_positive(outcomes, tol: float) -> list[SolveOutcome]:
+    """Converged strictly positive outcomes, sorted by energy; of two
+    within sup distance 10*tol only the lower-energy one is kept."""
+    good = [o for o in outcomes
+            if o.converged and o.positivity == "strictly-positive"]
+    good.sort(key=lambda o: o.energy.total)
+    kept: list[SolveOutcome] = []
+    for o in good:
+        if all(float(np.max(np.abs(o.solution.values - k.solution.values)))
+               > 10.0 * tol for k in kept):
+            kept.append(o)
+    return kept
+
+
 def multi_start(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
                 n_starts: int) -> list[SolveOutcome]:
     """Distinct converged positive solutions from seeded Newton starts.
@@ -596,22 +617,6 @@ def multi_start(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
         GridFunction(mesh, c1 * phi1.values + c2 * psi.values) for c1, c2 in coeffs
     )
 
-    threads = max(1, int(os.environ.get("KIRCHHOFF_LAB_THREADS", "1")))
-    runner = lambda init: newton_nonlocal(mesh, params, config, init)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(runner, initials))
-    else:
-        outcomes = [runner(init) for init in initials]
-
-    positives = [o for o in outcomes
-                 if o.converged and o.positivity == "strictly-positive"]
-    positives.sort(key=lambda o: o.energy.total)
-    kept: list[SolveOutcome] = []
-    for cand in positives:
-        if all(
-            sup_norm(mesh, cand.solution - k.solution) > 10.0 * config.tol
-            for k in kept
-        ):
-            kept.append(cand)
-    return kept
+    outcomes = thread_map(
+        lambda init: newton_nonlocal(mesh, params, config, init), initials)
+    return distinct_positive(outcomes, config.tol)

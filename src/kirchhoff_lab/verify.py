@@ -30,12 +30,17 @@ from .exceptions import ConvergenceError, MeshError, RegimeError
 from .mesh import (
     DomainMesh,
     GridFunction,
+    _values,
     h1_seminorm,
     poisson_solve,
     sup_norm,
 )
 from .problem import ProblemParams, regime_letter
-from .scalar_reduction import kirchhoff_linear_solve, rescale_to_semilinear
+from .scalar_reduction import (
+    consistency_root,
+    kirchhoff_linear_solve,
+    rescale_to_semilinear,
+)
 from .solvers import SolverConfig, descent_minimize, multi_start, newton_nonlocal
 
 
@@ -52,17 +57,6 @@ class PohozaevReport:
     eta: float  # N - 2 - 2N/(p+1); positive exactly above the critical exponent
 
 
-def _as_values(mesh, u):
-    if isinstance(u, GridFunction):
-        if u.mesh is not mesh:
-            raise MeshError("field lives on a different mesh")
-        return u.values
-    arr = np.asarray(u, dtype=float)
-    if arr.shape != mesh.shape:
-        raise MeshError(f"shape {arr.shape} does not match mesh {mesh.shape}")
-    return arr
-
-
 def _boundary_flux(mesh: DomainMesh, v: np.ndarray) -> float:
     """int over the boundary of (x . nu) (dw/dnu)^2, one-sided 2nd order."""
     if mesh.kind == "interval":
@@ -73,8 +67,7 @@ def _boundary_flux(mesh: DomainMesh, v: np.ndarray) -> float:
         dn_r = (-4.0 * v[-1] + v[-2]) / (2.0 * h)
         return (-x_l) * dn_l**2 + x_r * dn_r**2
     if mesh.kind == "rectangle":
-        hx = mesh.extents[0] / (mesh.shape[0] + 1)
-        hy = mesh.extents[1] / (mesh.shape[1] + 1)
+        hx, hy = mesh.spacing
         x_l = mesh.coords[0][0] - hx
         x_r = mesh.coords[0][-1] + hx
         y_b = mesh.coords[1][0] - hy
@@ -107,17 +100,17 @@ def pohozaev_residual(mesh: DomainMesh, w, p: float, c_pow: float = 1.0,
     the unforced problem.  The report's residual shrinks O(h) in general
     (one-sided flux), O(h^2) on smooth profiles.
     """
-    v = _as_values(mesh, w)
+    v = _values(mesh, w)
     N = mesh.dim
     if forcing is None:
         fvals = np.zeros(mesh.shape)
         fdot = np.zeros(mesh.shape)
     else:
-        fvals = _as_values(mesh, forcing)
+        fvals = _values(mesh, forcing)
         if forcing_xdot is None:
             raise ValueError("forcing_xdot (nodal x . grad forcing) is required "
                              "alongside a forcing term")
-        fdot = _as_values(mesh, forcing_xdot)
+        fdot = _values(mesh, forcing_xdot)
     wp = np.maximum(v, 0.0)
     G = c_pow * wp ** (p + 1.0) / (p + 1.0) + fvals * v
     g = c_pow * wp**p + fvals
@@ -162,8 +155,8 @@ def transformed_gradient_bound(mesh: DomainMesh, params: ProblemParams, u,
     eta = N - 2.0 - 2.0 * N / (params.p + 1.0)
     if eta <= 0.0:
         raise RegimeError("the gradient bound needs a supercritical exponent")
-    fvals = _as_values(mesh, params.f)
-    fdot = _as_values(mesh, forcing_xdot)
+    fvals = _values(mesh, params.f)
+    fdot = _values(mesh, forcing_xdot)
     wts = mesh.weights
     rhs = eff_lam * ((2.0 / eta) * float(np.sum(wts * fdot * v.values))
                      + (1.0 + (N + 2.0) / eta) * float(np.sum(wts * fvals * v.values)))
@@ -326,38 +319,13 @@ def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float, b: float,
     boundary_defect = abs(float(prof[-1]))
     G = setup.gradient_sq(dprof) ** alpha
     beta = 2.0 * alpha / (p - 1.0)
-
-    def zeta(t):
-        return (1.0 + b * t) ** beta * G - t
-
-    if beta > 1.0:
-        slope0 = beta * b * G
-        if slope0 >= 1.0:
-            return HomogeneousProbe(False, None, None, boundary_defect, math.inf)
-        t_star = ((slope0) ** (-1.0 / (beta - 1.0)) - 1.0) / b
-        if zeta(t_star) > 0.0:
-            return HomogeneousProbe(False, None, None, boundary_defect, math.inf)
-        lo, hi = 0.0, t_star
-    else:
-        lo, hi = 0.0, max(1.0, G)
-        for _ in range(200):
-            if zeta(hi) < 0.0:
-                break
-            hi *= 2.0
-        else:
-            return HomogeneousProbe(False, None, None, boundary_defect, math.inf)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if zeta(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    t = 0.5 * (lo + hi)
+    t = consistency_root(G, beta, b)
+    if t is None:
+        return HomogeneousProbe(False, None, None, boundary_defect, math.inf)
     scale = (1.0 + b * t) ** (1.0 / (p - 1.0))
     u = GridFunction(mesh, scale * prof[setup.node_index])
-    return HomogeneousProbe(True, t, u, boundary_defect, abs(zeta(t)))
+    return HomogeneousProbe(True, t, u, boundary_defect,
+                            abs((1.0 + b * t) ** beta * G - t))
 
 
 def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,

@@ -123,3 +123,10 @@ def test_b_threshold_gates(interval, ball):
                            f=const_one(interval))
     with pytest.raises(ValueError):
         sweep_b_threshold(interval, forced, [1.0])
+
+
+def test_b_threshold_rejects_non_integer_thread_count(interval, monkeypatch):
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.0)
+    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "two")
+    with pytest.raises(ValueError, match="KIRCHHOFF_LAB_THREADS"):
+        sweep_b_threshold(interval, params, [1.0])

@@ -16,6 +16,7 @@ from kirchhoff_lab.mesh import (
 )
 from kirchhoff_lab.problem import ProblemParams
 from kirchhoff_lab.scalar_reduction import (
+    consistency_root,
     kirchhoff_linear_solve,
     picard_rescale,
     rescale_to_semilinear,
@@ -158,3 +159,23 @@ def test_rescale_to_semilinear_on_solution(interval):
     assert np.max(np.abs(res)) <= 1e-10 * max(1.0, np.max(np.abs(fvals)))
     # scaling direction: the effective amplitude never exceeds the original
     assert 0 < eff_lam <= params.lam
+
+
+@pytest.mark.parametrize("G, alpha, p, b, exists", [
+    (1.0, 1.0, 2.0, 0.2, True),    # beta = 2, root below t*
+    (1.0, 1.0, 2.0, 0.6, False),   # beta = 2, slope0 = beta b G >= 1
+    (1.0, 1.0, 2.0, 0.3, False),   # beta = 2, slope0 < 1 but zeta(t*) > 0
+    (1.0, 1.0, 4.0, 1.0, True),    # beta = 2/3: zeta eventually negative
+])
+def test_consistency_root_matches_scan(G, alpha, p, b, exists):
+    beta = 2.0 * alpha / (p - 1.0)
+    t = np.linspace(0.0, 100.0, 1_000_001)
+    zeta = (1.0 + b * t) ** beta * G - t
+    root = consistency_root(G, beta, b)
+    if not exists:
+        assert root is None
+        assert np.all(zeta > 0.0)
+        return
+    i = int(np.argmax(zeta <= 0.0))  # first scan node at or past the root
+    assert i > 0 and t[i - 1] <= root <= t[i]
+    assert abs((1.0 + b * root) ** beta * G - root) <= 1e-12 * max(1.0, root)

@@ -15,7 +15,12 @@ import pytest
 
 from kirchhoff_lab import constants
 from kirchhoff_lab.energy import energy_eval, energy_gradient
-from kirchhoff_lab.exceptions import BarrierError, NonMemberError, RegimeError
+from kirchhoff_lab.exceptions import (
+    BarrierError,
+    MeshMismatchError,
+    NonMemberError,
+    RegimeError,
+)
 from kirchhoff_lab.forcing import make_forcing
 from kirchhoff_lab.mesh import GridFunction, build_mesh, h1_seminorm, sup_norm
 from kirchhoff_lab.problem import ProblemParams, classify_regime, energy_lower_bound
@@ -411,3 +416,26 @@ def test_multi_start_thread_count_does_not_change_result(interval, monkeypatch):
     for a, b in zip(base, threaded):
         assert a.energy.total == b.energy.total
         assert np.array_equal(a.solution.values, b.solution.values)
+
+
+def test_multi_start_empty_thread_count_means_one(interval, monkeypatch):
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
+    base = multi_start(interval, params, SolverConfig(), 3)
+    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "")
+    again = multi_start(interval, params, SolverConfig(), 3)
+    assert [o.energy.total for o in again] == [o.energy.total for o in base]
+
+
+def test_multi_start_rejects_non_integer_thread_count(interval, monkeypatch):
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
+    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "two")
+    with pytest.raises(ValueError, match="KIRCHHOFF_LAB_THREADS"):
+        multi_start(interval, params, SolverConfig(), 2)
+
+
+def test_newton_rejects_transposed_start():
+    # interior 7x11; an (11, 7) start has the right size but not the shape
+    rect = build_mesh("rectangle", (1.0, 1.0), (9, 13))
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(rect))
+    with pytest.raises(MeshMismatchError):
+        newton_nonlocal(rect, params, SolverConfig(), np.ones((11, 7)))
