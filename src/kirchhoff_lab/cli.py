@@ -46,6 +46,7 @@ from .solvers import (
     descent_minimize,
     mountain_pass_search,
     picard_iterate,
+    thread_count,
 )
 from .verify import (
     kirchhoff_shooting,
@@ -326,6 +327,7 @@ def _verify_checks(lines, mesh, params, config, regime, forcing, outs):
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one experiment; write report.txt (+ CSVs); return exit code."""
     try:
+        thread_count()  # a malformed KIRCHHOFF_LAB_THREADS fails before any solve
         mesh = _mesh_of(config)
         forcing = make_forcing(mesh, config.forcing) if config.forcing else None
         solver_cfg = _solver_config(config)

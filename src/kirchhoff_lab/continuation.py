@@ -35,7 +35,7 @@ from .solvers import (
     picard_iterate,
     thread_map,
 )
-from .verify import homogeneous_shooting
+from .verify import _homogeneous_probes
 
 
 @dataclass(frozen=True)
@@ -279,8 +279,10 @@ def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
     base = _semilinear_base(mesh, params.p, config)
     G_grid = h1_seminorm(mesh, base) ** (2.0 * params.alpha)
     beta = 2.0 * params.alpha / (params.p - 1.0)
+    oracle = _homogeneous_probes(mesh, params.p, params.alpha, b_grid)
 
-    def probe(b: float) -> BThresholdPoint:
+    def probe(item) -> BThresholdPoint:
+        b, pr = item
         t = consistency_root(G_grid, beta, b)
         grid_found = False
         if t is not None:
@@ -290,12 +292,11 @@ def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
             grid_found = (out.converged
                           and out.positivity == "strictly-positive"
                           and sup_norm(mesh, out.solution) > 10.0 * config.tol)
-        pr = homogeneous_shooting(mesh, params.p, params.alpha, b)
         defect = max(pr.boundary_defect, pr.consistency_defect)
         return BThresholdPoint(b, grid_found, pr.found, defect,
                                grid_found == pr.found)
 
-    pts = thread_map(probe, b_grid)
+    pts = thread_map(probe, zip(b_grid, oracle))
     found_bs = [pt.b for pt in pts if pt.oracle_found]
     missing_bs = [pt.b for pt in pts if not pt.oracle_found]
     lo = max(found_bs) if found_bs else 0.0

@@ -552,19 +552,28 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
 # multi-start driver
 
 
-def thread_map(fn, items) -> list:
-    """[fn(x) for x in items] in order, on KIRCHHOFF_LAB_THREADS threads.
+def thread_count() -> int:
+    """KIRCHHOFF_LAB_THREADS as an integer; unset or empty means 1.
 
-    The variable is read on every call: unset or empty means 1, and a
-    value <= 1 runs sequentially.  Results merge by index, never by
-    arrival, so the thread count changes wall time only.
+    A value that is not an integer raises a ValueError naming the
+    variable.
     """
     raw = os.environ.get("KIRCHHOFF_LAB_THREADS", "")
     try:
-        threads = int(raw) if raw.strip() else 1
+        return int(raw) if raw.strip() else 1
     except ValueError:
         raise ValueError(
             f"KIRCHHOFF_LAB_THREADS must be an integer, got {raw!r}") from None
+
+
+def thread_map(fn, items) -> list:
+    """[fn(x) for x in items] in order, on thread_count() threads.
+
+    The variable is read on every call, and a value <= 1 runs
+    sequentially.  Results merge by index, never by arrival, so the
+    thread count changes wall time only.
+    """
+    threads = thread_count()
     if threads <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

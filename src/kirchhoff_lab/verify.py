@@ -7,10 +7,12 @@ Everything here deliberately avoids the solver machinery it certifies:
   derivatives.  For supercritical exponents its sign structure is what
   rules solutions out, so the residual doubles as a correctness gauge.
 * ``shooting_solve``     -- RK4 marching of the radial/mirrored ODE plus
-  bisection on the center value; a discretization fully independent of
-  the grid stencils.  ``homogeneous_shooting`` adds the scalar
-  consistency analysis for the unforced problem, ``kirchhoff_shooting``
-  the damped outer fixed point for the forced one.
+  a root search on the center value (a geometric ladder for the first
+  sign change, then Brent's method inside it); a discretization fully
+  independent of the grid stencils.  ``homogeneous_shooting`` adds the
+  scalar consistency analysis for the unforced problem,
+  ``kirchhoff_shooting`` a secant outer loop on the nonlocal
+  coefficient for the forced one.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -243,14 +245,62 @@ class _ShootingSetup:
         return _simpson(integrand, self.h_s)
 
 
-def _bisect_center_value(setup: _ShootingSetup, p, c_pow, c_f) -> float:
-    """Center value whose profile hits zero at the boundary radius."""
+def _brent(f, a, b, fa, fb, xtol) -> float:
+    """Zero of f in the sign-change bracket [a, b], to a bracket of width xtol.
+
+    Brent's method (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant steps while they stay inside
+    the bracket and shrink it fast enough, bisection otherwise.
+    """
+    tol = 0.5 * xtol
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(120):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    raise ConvergenceError("Brent's method did not settle in 120 steps")
+
+
+def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> float:
+    """Center value whose profile hits zero at the boundary radius.
+
+    A geometric ladder from a = 0 finds the first sign change of the
+    endpoint map, so the smallest crossing (the minimal branch) is kept;
+    Brent's method then pins the root inside that rung.
+    """
     ladder = 2.0 ** np.arange(-30, 62, dtype=float)
     prev_a = 0.0
     prev_val = setup.endpoint(0.0, p, c_pow, c_f)
     if prev_val == 0.0 and c_f != 0.0:
         return 0.0
-    lo = hi = None
     for a in ladder:
         val = setup.endpoint(a, p, c_pow, c_f)
         if not np.isfinite(val):
@@ -258,38 +308,25 @@ def _bisect_center_value(setup: _ShootingSetup, p, c_pow, c_f) -> float:
         if val == 0.0:
             return float(a)
         if prev_val != 0.0 and np.sign(val) != np.sign(prev_val):
-            lo, hi = prev_a, float(a)
-            flo = prev_val
-            break
+            return _brent(lambda x: setup.endpoint(x, p, c_pow, c_f),
+                          prev_a, float(a), prev_val, val,
+                          1e-15 * max(1.0, float(a)))
         prev_a, prev_val = float(a), val
-    if lo is None:
-        raise ConvergenceError("no sign change in the shooting map over the bracket")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        fmid = setup.endpoint(mid, p, c_pow, c_f)
-        if fmid == 0.0:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    raise ConvergenceError("no sign change in the shooting map over the bracket")
 
 
 def shooting_solve(mesh: DomainMesh, p: float, c_pow: float = 1.0,
                    c_f: float = 0.0, f_fn=None, refine: int = 8) -> GridFunction:
     """Oracle for Delta u + c_pow (u+)^p + c_f f = 0, radial or mirrored 1-D.
 
-    Integrates outward with u'(0) = 0 and bisects on u(0) until the
+    Integrates outward with u'(0) = 0 and solves for u(0) so that the
     profile vanishes at the boundary; the bracket scan picks the smallest
     positive crossing, i.e. the minimal solution branch.  Interval meshes
     are solved on the half domain, so f must be symmetric about the
     midpoint.
     """
     setup = _ShootingSetup(mesh, refine, f_fn)
-    a = _bisect_center_value(setup, p, c_pow, c_f)
+    a = _center_value(setup, p, c_pow, c_f)
     prof, _ = setup.shoot(a, p, c_pow, c_f)
     return setup.to_grid(prof)
 
@@ -303,6 +340,28 @@ class HomogeneousProbe:
     consistency_defect: float  # |zeta(t)| at the root
 
 
+def _homogeneous_probes(mesh: DomainMesh, p: float, alpha: float, bs,
+                        refine: int = 8) -> list:
+    """homogeneous_shooting at each b in bs, from one shot of the base profile."""
+    setup = _ShootingSetup(mesh, refine, None)
+    a = _center_value(setup, p, 1.0, 0.0)
+    prof, dprof = setup.shoot(a, p, 1.0, 0.0)
+    boundary_defect = abs(float(prof[-1]))
+    G = setup.gradient_sq(dprof) ** alpha
+    beta = 2.0 * alpha / (p - 1.0)
+
+    def probe(b: float) -> HomogeneousProbe:
+        t = consistency_root(G, beta, b)
+        if t is None:
+            return HomogeneousProbe(False, None, None, boundary_defect, math.inf)
+        scale = (1.0 + b * t) ** (1.0 / (p - 1.0))
+        u = GridFunction(mesh, scale * prof[setup.node_index])
+        return HomogeneousProbe(True, t, u, boundary_defect,
+                                abs((1.0 + b * t) ** beta * G - t))
+
+    return [probe(b) for b in bs]
+
+
 def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float, b: float,
                          refine: int = 8) -> HomogeneousProbe:
     """Existence probe for the unforced problem via scalar consistency.
@@ -313,19 +372,7 @@ def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float, b: float,
     map stays above the diagonal and no solution exists; below it the
     smallest root is returned along with the scaled profile.
     """
-    setup = _ShootingSetup(mesh, refine, None)
-    a = _bisect_center_value(setup, p, 1.0, 0.0)
-    prof, dprof = setup.shoot(a, p, 1.0, 0.0)
-    boundary_defect = abs(float(prof[-1]))
-    G = setup.gradient_sq(dprof) ** alpha
-    beta = 2.0 * alpha / (p - 1.0)
-    t = consistency_root(G, beta, b)
-    if t is None:
-        return HomogeneousProbe(False, None, None, boundary_defect, math.inf)
-    scale = (1.0 + b * t) ** (1.0 / (p - 1.0))
-    u = GridFunction(mesh, scale * prof[setup.node_index])
-    return HomogeneousProbe(True, t, u, boundary_defect,
-                            abs((1.0 + b * t) ** beta * G - t))
+    return _homogeneous_probes(mesh, p, alpha, [b], refine)[0]
 
 
 def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,
@@ -335,29 +382,37 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,
     ``f_fn`` is the coordinate callable for the forcing (the nodal field
     in ``params.f`` is never touched; the oracle stays off the grid).
     Inner loop: semilinear shooting with the coefficient frozen at
-    (1+b t).  Outer loop: damped (factor 0.5) fixed point on
-    t = |grad u|^{2 alpha} until |dt| <= 1e-10, the gradient taken from
-    the fine profile by Simpson quadrature.
+    (1+b t).  Outer loop: secant iteration on F(t) = T(t) - t, where
+    T(t) = |grad u|^{2 alpha} of the inner profile, taken from the fine
+    profile by Simpson quadrature; it starts from t = 0 and t = T(0),
+    falls back to the damped step t + F(t)/2 when a secant step is not
+    finite or would make t negative, and stops once
+    |F(t)| <= 1e-10 max(1, t), returning the profile shot at that t.
+    ``max_outer`` caps the number of inner solves.
     """
     if params.lam > 0.0 and f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")
     setup = _ShootingSetup(mesh, refine, f_fn)
     t = 0.0
+    t_prev = F_prev = None
     for _ in range(max_outer):
         coeff = 1.0 + params.b * t
-        a = _bisect_center_value(setup, params.p, 1.0 / coeff, params.lam / coeff)
-        prof, dprof = setup.shoot(a, params.p, 1.0 / coeff, params.lam / coeff)
-        t_new = setup.gradient_sq(dprof) ** params.alpha
-        if abs(t_new - t) <= 1e-10 * max(1.0, t):
-            t = t_new
-            break
-        t += 0.5 * (t_new - t)
-    else:
-        raise ConvergenceError("outer consistency loop did not settle")
-    coeff = 1.0 + params.b * t
-    a = _bisect_center_value(setup, params.p, 1.0 / coeff, params.lam / coeff)
-    prof, _ = setup.shoot(a, params.p, 1.0 / coeff, params.lam / coeff)
-    return setup.to_grid(prof)
+        c_pow, c_f = 1.0 / coeff, params.lam / coeff
+        a = _center_value(setup, params.p, c_pow, c_f)
+        prof, dprof = setup.shoot(a, params.p, c_pow, c_f)
+        F = setup.gradient_sq(dprof) ** params.alpha - t
+        if abs(F) <= 1e-10 * max(1.0, t):
+            return setup.to_grid(prof)
+        if t_prev is None:
+            step = F  # t1 = T(0)
+        else:
+            dF = F - F_prev
+            step = -F * (t - t_prev) / dF if dF != 0.0 else math.inf
+            if not math.isfinite(step) or t + step < 0.0:
+                step = 0.5 * F
+        t_prev, F_prev = t, F
+        t += step
+    raise ConvergenceError("outer consistency loop did not settle")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kirchhoff_lab import constants
+from kirchhoff_lab import cli, constants
 from kirchhoff_lab.cli import main, parse_config, run_experiment
 from kirchhoff_lab.exceptions import ConfigError
 from kirchhoff_lab.mesh import build_mesh
@@ -224,6 +224,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
     code, _ = run_cfg(tmp_path, SOLVE_A.replace("p = 2", "p = 3"))
     assert code == 2
     assert "boundary exponent" in capsys.readouterr().err
+
+
+def test_bad_thread_count_exits_2_before_solving(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran despite a malformed thread count")
+
+    monkeypatch.setattr(cli, "descent_minimize", no_solve)
+    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "two")
+    code, out = run_cfg(tmp_path, SOLVE_A, command="verify")
+    assert code == 2
+    assert "KIRCHHOFF_LAB_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_byte_identical_reruns(tmp_path):

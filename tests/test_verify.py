@@ -11,10 +11,12 @@ Oracles used here:
   on both sides of the threshold.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from kirchhoff_lab import constants
+from kirchhoff_lab import constants, verify
 from kirchhoff_lab.energy import energy_eval
 from kirchhoff_lab.exceptions import ConvergenceError, MeshError, RegimeError
 from kirchhoff_lab.forcing import file_forcing, make_forcing, quartic_forcing
@@ -34,6 +36,8 @@ from kirchhoff_lab.solvers import (
     picard_iterate,
 )
 from kirchhoff_lab.verify import (
+    _brent,
+    _ShootingSetup,
     homogeneous_shooting,
     kirchhoff_shooting,
     pohozaev_residual,
@@ -273,6 +277,60 @@ def test_kirchhoff_shooting_matches_picard(ball):
     oracle = kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
     scale = sup_norm(ball, out.solution)
     assert sup_norm(ball, out.solution - oracle) <= 0.01 * scale
+
+
+def test_brent_smooth_bracket():
+    # bisection would need 50 halvings of [0, 1] to reach width 1e-15
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x) - x
+
+    root = _brent(f, 0.0, 1.0, 1.0, math.cos(1.0) - 1.0, 1e-15)
+    assert root == pytest.approx(0.7390851332151607, abs=1e-15)
+    assert len(calls) <= 10
+
+
+def test_brent_linear_torsion_map(ball):
+    # the c_pow = 0 endpoint map is affine in the center value: the first
+    # secant step lands on the root, within the ladder rung [1/8, 1/4]
+    setup = _ShootingSetup(ball, 8, lambda r: np.ones_like(r))
+    shots = []
+
+    def endpoint(a):
+        shots.append(a)
+        return setup.endpoint(a, 2.0, 0.0, 1.0)
+
+    lo, hi = 0.125, 0.25
+    root = _brent(endpoint, lo, hi, setup.endpoint(lo, 2.0, 0.0, 1.0),
+                  setup.endpoint(hi, 2.0, 0.0, 1.0), 1e-15)
+    assert root == pytest.approx(1.0 / 6.0, abs=1e-13)
+    assert len(shots) <= 4
+
+
+def test_kirchhoff_shooting_shot_budget(ball, monkeypatch):
+    # four inner solves of ~26 shots each: ladder, Brent, and one shot
+    # of the profile at the center value found
+    shots = []
+    rk4 = verify.rk4_radial
+
+    def counted(*args):
+        shots.append(args[0])
+        return rk4(*args)
+
+    monkeypatch.setattr(verify, "rk4_radial", counted)
+    params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
+    oracle = kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
+    assert 0 < len(shots) <= 200
+    assert sup_norm(ball, oracle) > 0.0
+
+
+def test_kirchhoff_shooting_outer_cap(ball):
+    params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
+    with pytest.raises(ConvergenceError):
+        kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r),
+                           max_outer=1)
 
 
 def test_kirchhoff_shooting_needs_callable(ball):
