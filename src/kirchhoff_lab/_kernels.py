@@ -1,45 +1,15 @@
-"""Hot numerical kernels with switchable backends.
+"""Hot numerical kernels: the tridiagonal apply and solve, the 2-D
+5-point stencil and the radial RK4 shot, in numpy and plain Python.
 
-Two implementations of each kernel: a numba ``@njit`` version and a pure
-numpy/python fallback.  Selection happens once at import time from the
-``KIRCHHOFF_LAB_BACKEND`` environment variable:
-
-* ``auto``  (default) -- numba if importable, else numpy
-* ``numba`` -- require numba, raise if unavailable
-* ``numpy`` -- force the fallback even when numba is installed
-
-``BACKEND`` records the active choice so callers (and the benchmark
-script) can report it.
+``BACKEND`` names the one implementation, for reports that print it.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("KIRCHHOFF_LAB_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"KIRCHHOFF_LAB_BACKEND must be auto, numba or numpy, got {_requested!r}"
-    )
-
-_have_numba = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _have_numba = True
-    except ImportError:
-        if _requested == "numba":
-            raise RuntimeError("KIRCHHOFF_LAB_BACKEND=numba but numba is not importable")
-
-BACKEND = "numba" if _have_numba else "numpy"
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-
-
-def _tridiag_apply_np(sub, diag, sup, u, out):
+def tridiag_apply(sub, diag, sup, u, out):
     # out_i = sub_i*u_{i-1} + diag_i*u_i + sup_i*u_{i+1}, zero beyond the ends
     out[:] = diag * u
     out[1:] += sub[1:] * u[:-1]
@@ -47,7 +17,7 @@ def _tridiag_apply_np(sub, diag, sup, u, out):
     return out
 
 
-def _thomas_solve_np(sub, diag, sup, rhs, x):
+def thomas_solve(sub, diag, sup, rhs, x):
     # Forward elimination / back substitution without pivoting.  Valid for
     # the diagonally dominant operators built in mesh.py.
     n = diag.shape[0]
@@ -65,7 +35,7 @@ def _thomas_solve_np(sub, diag, sup, rhs, x):
     return x
 
 
-def _lap2d_apply_np(u, out, inv_hx2, inv_hy2):
+def lap2d_apply(u, out, inv_hx2, inv_hy2):
     # 5-point minus-Laplacian on the interior block, implicit zero boundary.
     out[:] = (2.0 * inv_hx2 + 2.0 * inv_hy2) * u
     out[1:, :] -= inv_hx2 * u[:-1, :]
@@ -75,7 +45,7 @@ def _lap2d_apply_np(u, out, inv_hx2, inv_hy2):
     return out
 
 
-def _rk4_radial_np(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
+def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
     # Integrate u'' + ((dim-1)/r) u' = -(c_pow*max(u,0)^p + c_f*f(r))
     # outward from r=0 with u(0)=u0, u'(0)=0.  f_half holds the forcing
     # sampled at r = k*h/2 (2*nsteps+1 values) so every RK4 stage sees an
@@ -127,67 +97,3 @@ def _rk4_radial_np(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
         u[k + 1] = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         du[k + 1] = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return u, du
-
-
-# ---------------------------------------------------------------------------
-# numba variants: same loops, jitted
-
-if _have_numba:
-
-    @njit(cache=True)
-    def _tridiag_apply_nb(sub, diag, sup, u, out):
-        n = u.shape[0]
-        for i in range(n):
-            acc = diag[i] * u[i]
-            if i > 0:
-                acc += sub[i] * u[i - 1]
-            if i < n - 1:
-                acc += sup[i] * u[i + 1]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _thomas_solve_nb(sub, diag, sup, rhs, x):
-        n = diag.shape[0]
-        cp = np.empty(n)
-        dp = np.empty(n)
-        cp[0] = sup[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
-        for i in range(1, n):
-            denom = diag[i] - sub[i] * cp[i - 1]
-            cp[i] = sup[i] / denom
-            dp[i] = (rhs[i] - sub[i] * dp[i - 1]) / denom
-        x[n - 1] = dp[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = dp[i] - cp[i] * x[i + 1]
-        return x
-
-    @njit(cache=True)
-    def _lap2d_apply_nb(u, out, inv_hx2, inv_hy2):
-        nx, ny = u.shape
-        c = 2.0 * inv_hx2 + 2.0 * inv_hy2
-        for i in range(nx):
-            for j in range(ny):
-                acc = c * u[i, j]
-                if i > 0:
-                    acc -= inv_hx2 * u[i - 1, j]
-                if i < nx - 1:
-                    acc -= inv_hx2 * u[i + 1, j]
-                if j > 0:
-                    acc -= inv_hy2 * u[i, j - 1]
-                if j < ny - 1:
-                    acc -= inv_hy2 * u[i, j + 1]
-                out[i, j] = acc
-        return out
-
-    _rk4_radial_nb = njit(cache=True)(_rk4_radial_np)
-
-    tridiag_apply = _tridiag_apply_nb
-    thomas_solve = _thomas_solve_nb
-    lap2d_apply = _lap2d_apply_nb
-    rk4_radial = _rk4_radial_nb
-else:
-    tridiag_apply = _tridiag_apply_np
-    thomas_solve = _thomas_solve_np
-    lap2d_apply = _lap2d_apply_np
-    rk4_radial = _rk4_radial_np

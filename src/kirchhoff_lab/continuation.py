@@ -197,18 +197,12 @@ def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
         lo *= 0.5
     else:
         raise ConvergenceError("no solvable lambda found while halving")
-    hi = lo
-    while True:
-        hi *= 2.0
-        if hi > lam_max:
-            mult = (1.0 + params.b * best_sem ** (2.0 * params.alpha)) \
-                ** (params.p / (params.p - 1.0))
-            return ThresholdEstimate(lo, math.inf, tuple(votes), best_sem, mult)
-        if probe(hi):
-            lo = hi
-        else:
-            break
-    while hi / lo > target_ratio:
+    hi = lo * 2.0
+    while hi <= lam_max and probe(hi):
+        lo, hi = hi, hi * 2.0
+    if hi > lam_max:
+        hi = math.inf  # nothing failed below lam_max: the bracket stays open
+    while math.isfinite(hi) and hi / lo > target_ratio:
         mid = math.sqrt(lo * hi)
         if probe(mid):
             lo = mid

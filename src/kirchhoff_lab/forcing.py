@@ -146,20 +146,27 @@ def file_forcing(mesh: DomainMesh, path: str) -> Forcing:
     return Forcing(f"file {path}", GridFunction(mesh, raw.reshape(mesh.shape)))
 
 
+# builtin name -> how many arguments its spec may carry
+_MAX_ARGS = {"constant": 1, "eigenmode": 1, "quartic-signchanging": 0, "file": 1}
+
+
 def make_forcing(mesh: DomainMesh, spec: str) -> Forcing:
     """Parse a forcing spec string: builtin name plus optional arguments."""
     parts = spec.split()
     if not parts:
         raise ConfigError("empty forcing spec")
     name, args = parts[0], parts[1:]
+    if name not in _MAX_ARGS:
+        raise ConfigError(f"unknown forcing {name!r}")
+    if len(args) > _MAX_ARGS[name]:
+        raise ConfigError(f"forcing {spec!r}: {name} takes at most "
+                          f"{_MAX_ARGS[name]} argument(s), got {len(args)}")
     if name == "constant":
         return constant_forcing(mesh, float(args[0]) if args else 1.0)
     if name == "eigenmode":
         return eigenmode_forcing(mesh, float(args[0]) if args else 1.0)
     if name == "quartic-signchanging":
         return quartic_forcing(mesh)
-    if name == "file":
-        if not args:
-            raise ConfigError("file forcing needs a path")
-        return file_forcing(mesh, args[0])
-    raise ConfigError(f"unknown forcing {name!r}")
+    if not args:
+        raise ConfigError("file forcing needs a path")
+    return file_forcing(mesh, args[0])

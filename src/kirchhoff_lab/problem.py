@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonMemberError, RegimeError
-from .mesh import DomainMesh, GridFunction, lp_norm, poisson_solve, sup_norm
+from .mesh import DomainMesh, GridFunction, _values, lp_norm, poisson_solve, sup_norm
 
 SIGN_TOL_FACTOR = 1e-10  # relative tolerance for nodal sign decisions
 
@@ -62,9 +62,7 @@ def forcing_values(mesh: DomainMesh, params: ProblemParams) -> np.ndarray:
     """Nodal lambda*f with mesh consistency enforced."""
     if params.lam == 0.0 or params.f is None:
         return np.zeros(mesh.shape)
-    if params.f.mesh is not mesh:
-        raise ValueError("forcing is sampled on a different mesh")
-    return params.lam * params.f.values
+    return params.lam * _values(mesh, params.f)
 
 
 def two_star(dim: int) -> float:
@@ -191,10 +189,7 @@ def membership_Fplus(mesh: DomainMesh, f, layer: float) -> MembershipReport:
     half_width = min(mesh.extents) / 2.0 if mesh.kind != "ball" else mesh.extents[0]
     if layer > half_width:
         raise ValueError(f"layer {layer} exceeds the domain inradius {half_width}")
-    if isinstance(f, GridFunction):
-        vals = f.values
-    else:
-        vals = np.asarray(f, dtype=float)
+    vals = _values(mesh, f)
     dist = boundary_distance(mesh)
     tol = SIGN_TOL_FACTOR * max(float(np.max(np.abs(vals))), 1e-300)
     in_layer = dist < layer

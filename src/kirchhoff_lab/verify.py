@@ -508,7 +508,8 @@ def supnorm_decay_scan(mesh: DomainMesh, params: ProblemParams, lams,
         prev, prev_lam = out.solution, lam
         last_solution = (out.solution, lam)
     ratio = sups[-1] / sups[0] if len(sups) >= 2 and sups[0] > 0 else float("nan")
-    monotone = all(b <= (1.0 + 0.10) * a for a, b in zip(sups, sups[1:]))
+    slack = 1.0 + DecayReport.monotone_slack
+    monotone = all(b <= slack * a for a, b in zip(sups, sups[1:]))
     gap = float("nan")
     if last_solution is not None and params.f is not None:
         w = poisson_solve(mesh, params.f.values)

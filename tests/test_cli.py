@@ -1,5 +1,7 @@
 """Config parsing and end-to-end CLI runs against temp directories."""
 
+from dataclasses import replace
+
 import pytest
 
 from kirchhoff_lab import cli, constants
@@ -224,6 +226,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     code, _ = run_cfg(tmp_path, SOLVE_A.replace("p = 2", "p = 3"))
     assert code == 2
     assert "boundary exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["constant 1 2 3", "eigenmode 1 2",
+                                  "quartic-signchanging 1",
+                                  "file a.txt b.txt"])
+def test_extra_forcing_arguments_exit_2(tmp_path, capsys, spec):
+    cfg = parse_config(SOLVE_A.replace("f = constant 1.0", f"f = {spec}"))
+    code = run_experiment(replace(cfg, out=str(tmp_path / "out")))
+    assert code == 2
+    assert repr(spec) in capsys.readouterr().err
 
 
 def test_bad_thread_count_exits_2_before_solving(tmp_path, capsys,

@@ -91,6 +91,16 @@ def test_estimate_lambda_bracket(ball):
     assert est.upper in failed
 
 
+def test_estimate_lambda_open_bracket(ball):
+    # the first doubling already passes lam_max: no failure was seen, so
+    # the upper end stays open instead of being invented
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=const_one(ball))
+    est = estimate_Lambda_f(ball, params, SolverConfig(tol=1e-4), lam_max=0.06)
+    assert (est.lower, est.upper) == (0.05, math.inf)
+    assert [lam for lam, _, _ in est.votes] == [0.05]
+    assert est.kirchhoff_multiplier >= 1.0
+
+
 def test_b_threshold_two_routes(interval):
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.0)
     S, _ = constants.sobolev(interval, 2.0)

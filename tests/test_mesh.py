@@ -1,8 +1,14 @@
 """Mesh construction, discrete operators, norms and spectral constants."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import kirchhoff_lab
 from kirchhoff_lab.exceptions import MeshError, MeshMismatchError
 from kirchhoff_lab.mesh import (
     GridFunction,
@@ -275,3 +281,16 @@ def test_lp_norm_rejects_bad_exponent():
     mesh = build_mesh("interval", 1.0, 9)
     with pytest.raises(ValueError):
         lp_norm(mesh, mesh.zeros(), 0.5)
+
+
+def test_import_ignores_backend_variable():
+    # there is one kernel implementation; a backend request in the
+    # environment must not stop the package from importing
+    src = str(pathlib.Path(kirchhoff_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, KIRCHHOFF_LAB_BACKEND="numba", PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", "import kirchhoff_lab; print(kirchhoff_lab.BACKEND)"],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "numpy"

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kirchhoff_lab.exceptions import RegimeError
+from kirchhoff_lab.exceptions import MeshMismatchError, RegimeError
 from kirchhoff_lab.forcing import constant_forcing, eigenmode_forcing, quartic_forcing
 from kirchhoff_lab.mesh import GridFunction, build_mesh, h1_seminorm, sup_norm
 from kirchhoff_lab.problem import (
@@ -15,6 +15,7 @@ from kirchhoff_lab.problem import (
     classify_regime,
     compute_b0,
     energy_lower_bound,
+    forcing_values,
     membership_Fplus,
     membership_M,
     two_star,
@@ -169,6 +170,26 @@ def test_fplus_layer_checks(interval):
     f = GridFunction(interval, bump)
     assert membership_Fplus(interval, f, 0.1).member
     assert not membership_M(interval, f).member
+
+
+def test_fplus_rejects_forcing_from_another_mesh(interval):
+    # same node count, twice the length: the nodes sit elsewhere
+    wide = build_mesh("interval", 2.0, 65)
+    with pytest.raises(MeshMismatchError):
+        membership_Fplus(interval, quartic_forcing(wide).field, 0.1)
+
+
+def test_fplus_rejects_wrong_shape_array(interval):
+    with pytest.raises(MeshMismatchError):
+        membership_Fplus(interval, np.ones(interval.shape[0] + 1), 0.1)
+
+
+def test_forcing_values_rejects_forcing_from_another_mesh(interval):
+    other = build_mesh("interval", 1.0, 65)
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0,
+                           f=constant_forcing(other).field)
+    with pytest.raises(MeshMismatchError):
+        forcing_values(interval, params)
 
 
 def test_fplus_layer_validation(interval):
