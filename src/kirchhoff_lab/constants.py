@@ -1,7 +1,7 @@
 """Per-mesh caches for spectral constants and assembled operators.
 
-Eigenpairs, embedding quotients, torsion functions and dense operator
-matrices are pure functions of the mesh (and exponent), and several
+Eigenpairs, embedding quotients, torsion functions and the dense 1-D
+operator matrices are pure functions of the mesh (and exponent), and several
 solver layers keep asking for them; caching keyed on mesh identity keeps
 sweeps from recomputing them at every lambda.
 """
@@ -42,6 +42,7 @@ def sobolev(mesh: DomainMesh, p: float):
 
 
 def dense_op(mesh: DomainMesh):
+    """Dense minus-Laplacian of an interval or ball (1-D Newton only)."""
     if mesh not in _dense:
         _dense[mesh] = dense_operator(mesh)
     return _dense[mesh]

@@ -16,6 +16,10 @@ the node weights w_j = omega_N r_j^{N-1} h this discretization is exactly
 self-adjoint and its Dirichlet form matches ``h1_seminorm`` to rounding,
 which the solvers rely on when they differentiate the energy.
 
+Linear solves are direct: Thomas elimination on the tridiagonal 1-D
+operators, block-tridiagonal LU over the x-rows on rectangles
+(``rectangle_blocks``), so no rectangle matrix is ever assembled.
+
 Quadrature is the nodal rectangle rule, which coincides with the
 trapezoid rule here because boundary values vanish.
 """
@@ -233,72 +237,46 @@ def laplacian_apply(mesh: DomainMesh, u) -> GridFunction:
     return GridFunction(mesh, out)
 
 
-def poisson_solve(mesh: DomainMesh, rhs, tol: float = 1e-12) -> GridFunction:
-    """Solve minus-Laplacian u = rhs.
+def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
+    """Solve minus-Laplacian u = rhs exactly (up to round-off).
 
-    Tridiagonal elimination for interval/ball meshes; conjugate gradients
-    to a relative residual of ``tol`` for rectangles.
+    Tridiagonal elimination for interval/ball meshes; block-tridiagonal
+    LU over the x-rows (``rectangle_blocks``) for rectangles.
     """
     vals = _values(mesh, rhs)
     if mesh.kind == "rectangle":
-        return GridFunction(mesh, _poisson2d(mesh, vals, tol))
+        T, c = rectangle_blocks(mesh)
+        x = _kernels.block_tridiag_solve(T, c, np.zeros(mesh.shape), vals[..., None])
+        return GridFunction(mesh, x[..., 0])
     sub, diag, sup = mesh.stencil
     x = np.empty_like(vals)
     _kernels.thomas_solve(sub, diag, sup, vals, x)
     return GridFunction(mesh, x)
 
 
-def _poisson2d(mesh: DomainMesh, rhs: np.ndarray, tol: float) -> np.ndarray:
+def rectangle_blocks(mesh: DomainMesh):
+    """The rectangle's 5-point minus-Laplacian in block-tridiagonal form.
+
+    Returns ``(T, c)``.  With the unknowns ordered like ``values.ravel()``,
+    block i is the x-row i, whose my nodes couple along y through the
+    (my, my) tridiagonal block T; neighbouring rows couple through c*I.
+    """
     hx, hy = mesh.spacing
     ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
-    b_norm = np.sqrt(np.sum(rhs * rhs))
-    x = np.zeros_like(rhs)
-    if b_norm == 0.0:
-        return x
-    r = rhs.copy()
-    p = r.copy()
-    Ap = np.empty_like(r)
-    rr = np.sum(r * r)
-    max_iter = 40 * (mesh.shape[0] + mesh.shape[1]) + 200
-    for _ in range(max_iter):
-        _kernels.lap2d_apply(p, Ap, ihx2, ihy2)
-        alpha = rr / np.sum(p * Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rr_new = np.sum(r * r)
-        if np.sqrt(rr_new) <= tol * b_norm:
-            return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise ConvergenceError(
-        f"conjugate gradients stalled at relative residual "
-        f"{np.sqrt(rr) / b_norm:.3e} after {max_iter} iterations"
-    )
+    my = mesh.shape[1]
+    T = ((2.0 * ihx2 + 2.0 * ihy2) * np.eye(my)
+         - ihy2 * (np.eye(my, k=1) + np.eye(my, k=-1)))
+    return T, -ihx2
 
 
 def dense_operator(mesh: DomainMesh) -> np.ndarray:
-    """Assemble the minus-Laplacian as a dense matrix (desk-scale meshes)."""
-    if mesh.kind != "rectangle":
-        sub, diag, sup = mesh.stencil
-        return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-    mx, my = mesh.shape
-    hx, hy = mesh.spacing
-    ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
-    n = mx * my
-    A = np.zeros((n, n))
-    for i in range(mx):
-        for j in range(my):
-            k = i * my + j
-            A[k, k] = 2.0 * ihx2 + 2.0 * ihy2
-            if i > 0:
-                A[k, k - my] = -ihx2
-            if i < mx - 1:
-                A[k, k + my] = -ihx2
-            if j > 0:
-                A[k, k - 1] = -ihy2
-            if j < my - 1:
-                A[k, k + 1] = -ihy2
-    return A
+    """Assemble the tridiagonal minus-Laplacian of an interval or ball as a
+    dense matrix.  Rectangles have no dense form here: their solves go
+    through ``rectangle_blocks``."""
+    if mesh.kind == "rectangle":
+        raise MeshError("dense_operator covers interval and ball meshes only")
+    sub, diag, sup = mesh.stencil
+    return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Four procedures, matched to the exponent regimes:
 * ``newton_nonlocal``     -- damped Newton on the strong-form residual.
   The Jacobian is a local operator plus the rank-one term coming from
   differentiating |grad u|^{2 alpha}; solved with the rank-one update
-  formula around two base-operator solves.
+  formula around two local-operator solves, block-tridiagonal on
+  rectangles and dense on the 1-D meshes.
 * ``descent_minimize``    -- Armijo backtracking on the energy with the
   Poisson-preconditioned gradient, optionally confined to the trust ball
   |grad u| <= rho0 (regime B's local minimizer), with a guarded Newton
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import constants
+from . import _kernels, constants
 from .energy import EnergyBreakdown, energy_eval, energy_gradient
 from .exceptions import BarrierError, KirchhoffLabError, RegimeError
 from .mesh import (
@@ -40,6 +41,7 @@ from .mesh import (
     laplacian_apply,
     lp_norm,
     poisson_solve,
+    rectangle_blocks,
     sup_norm,
 )
 from .problem import (
@@ -214,9 +216,18 @@ def picard_iterate(mesh: DomainMesh, params: ProblemParams, config: SolverConfig
 
 
 def _newton_pieces(mesh, params, lam_f, u):
-    A = constants.dense_op(mesh)
+    # A is the dense 1-D operator, or None on rectangles, whose -lap u is
+    # the O(n) stencil
+    if mesh.kind == "rectangle":
+        A = None
+        hx, hy = mesh.spacing
+        Lu = np.empty(mesh.shape)
+        _kernels.lap2d_apply(u.reshape(mesh.shape), Lu, 1.0 / hx**2, 1.0 / hy**2)
+        Lu = Lu.ravel()
+    else:
+        A = constants.dense_op(mesh)
+        Lu = A @ u
     w = mesh.weights.ravel()
-    Lu = A @ u
     K = float(u @ (w * Lu))
     K = max(K, 0.0)
     coeff = 1.0 + params.b * K**params.alpha
@@ -231,8 +242,16 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
 
     K = <u, -lap u> is the squared seminorm, so dK = 2 W(-lap u) and the
     Jacobian is (local part) + rank-one; the step solves the local part
-    against both right-hand sides and combines them with the rank-one
-    update formula.  Nodes with u <= 0 carry zero potential derivative.
+    coeff*(-lap) - diag(p u_+^{p-1}) against both right-hand sides and
+    combines them with the rank-one update formula.  Nodes with u <= 0
+    carry zero potential derivative.
+
+    On rectangles the local part is 5-point, hence block tridiagonal, and
+    ``_kernels.block_tridiag_solve`` factors it in O(mx my^3) without
+    assembling it.  Interval and ball meshes keep the dense matvec and the
+    dense LU: the tridiagonal kernels would change the round-off, and the
+    energies of duplicate solutions in ``distinct_positive`` tie to every
+    printed digit, so which duplicate is kept would change with it.
     """
     lam_f = forcing_values(mesh, params).ravel()
     u = _values(mesh, initial).ravel().copy()
@@ -245,14 +264,23 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
         if res <= config.tol:
             return _outcome(mesh, params, u.reshape(mesh.shape), "newton", it,
                             config, True, history=history)
-        B = coeff * A - np.diag(np.where(u > 0.0, params.p * up ** (params.p - 1.0), 0.0))
+        pot = np.where(u > 0.0, params.p * up ** (params.p - 1.0), 0.0)
         if K > 0.0:
             q = (2.0 * params.alpha * params.b * K ** (params.alpha - 1.0)) * (w * Lu)
         else:
             q = np.zeros_like(u)
+        rhs = np.column_stack((-F, Lu))
         try:
-            X = np.linalg.solve(B, np.column_stack((-F, Lu)))
+            if A is None:
+                T, c = rectangle_blocks(mesh)
+                X = _kernels.block_tridiag_solve(
+                    coeff * T, coeff * c, pot.reshape(mesh.shape),
+                    rhs.reshape(*mesh.shape, 2)).reshape(-1, 2)
+            else:
+                X = np.linalg.solve(coeff * A - np.diag(pot), rhs)
         except np.linalg.LinAlgError:
+            X = None
+        if X is None or not np.all(np.isfinite(X)):
             return _outcome(mesh, params, u.reshape(mesh.shape), "newton", it,
                             config, False, message="singular local operator",
                             history=history)

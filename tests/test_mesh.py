@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kirchhoff_lab
+from kirchhoff_lab import _kernels
 from kirchhoff_lab.exceptions import MeshError, MeshMismatchError
 from kirchhoff_lab.mesh import (
     GridFunction,
@@ -20,6 +21,7 @@ from kirchhoff_lab.mesh import (
     lp_norm,
     poisson_solve,
     principal_eigenpair,
+    rectangle_blocks,
     sobolev_constant,
     sup_norm,
 )
@@ -172,18 +174,64 @@ def test_discrete_strong_maximum_principle(mesh):
         assert np.min(u.values) > 0.0
 
 
+def second_difference(n, h):
+    return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+
+
+def assembled_rectangle(mesh):
+    """The 5-point minus-Laplacian as a dense matrix, unknowns ordered like
+    ``values.ravel()`` (x-row major)."""
+    (mx, my), (hx, hy) = mesh.shape, mesh.spacing
+    return (np.kron(second_difference(mx, hx), np.eye(my))
+            + np.kron(np.eye(mx), second_difference(my, hy)))
+
+
 def test_dense_operator_matches_apply():
-    for mesh in (
-        build_mesh("interval", 1.0, 9),
-        build_mesh("rectangle", (1.0, 2.0), (7, 9)),
-        build_mesh("ball", 1.0, 9),
+    rect = build_mesh("rectangle", (1.0, 2.0), (7, 9))
+    for mesh, A in (
+        (build_mesh("interval", 1.0, 9), None),
+        (rect, assembled_rectangle(rect)),
+        (build_mesh("ball", 1.0, 9), None),
     ):
+        if A is None:
+            A = dense_operator(mesh)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(mesh.shape)
-        A = dense_operator(mesh)
         direct = A @ u.ravel()
         via_apply = laplacian_apply(mesh, GridFunction(mesh, u)).values.ravel()
         np.testing.assert_allclose(direct, via_apply, rtol=1e-13, atol=1e-13)
+    with pytest.raises(MeshError):
+        dense_operator(rect)
+
+
+@pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_tridiag_solve_matches_dense(definite, k):
+    # 7x11 interior nodes, hx = 1/8 != hy = 1/6; D_i = T - diag(P[i]) with
+    # T = coeff * (rectangle row block), off-diagonal blocks coeff * c * I
+    mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
+    mx, my = mesh.shape
+    rng = np.random.default_rng(5 + k)
+    coeff = 2.5
+    T, c = rectangle_blocks(mesh)
+    if definite:
+        P = -rng.uniform(0.0, 50.0, mesh.shape)
+    else:
+        P = rng.uniform(0.0, 4.0 * coeff * principal_eigenpair(mesh)[0], mesh.shape)
+    M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
+    eigs = np.linalg.eigvalsh(M)
+    assert (eigs.min() > 0.0) == definite
+    R = rng.standard_normal((mx, my, k))
+    X = _kernels.block_tridiag_solve(coeff * T, coeff * c, P, R)
+    ref = np.linalg.solve(M, R.reshape(mx * my, k)).reshape(mx, my, k)
+    assert X.shape == R.shape
+    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_block_tridiag_solve_singular_first_block():
+    T = np.ones((3, 3))  # rank one: LU meets an exactly zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.block_tridiag_solve(T, 1.0, np.zeros((4, 3)), np.ones((4, 3, 1)))
 
 
 def test_rectangle_eigenfunction_consistency():

@@ -22,7 +22,13 @@ from kirchhoff_lab.exceptions import (
     RegimeError,
 )
 from kirchhoff_lab.forcing import make_forcing
-from kirchhoff_lab.mesh import GridFunction, build_mesh, h1_seminorm, sup_norm
+from kirchhoff_lab.mesh import (
+    GridFunction,
+    build_mesh,
+    h1_seminorm,
+    laplacian_apply,
+    sup_norm,
+)
 from kirchhoff_lab.problem import ProblemParams, classify_regime, energy_lower_bound
 from kirchhoff_lab.scalar_reduction import kirchhoff_linear_solve
 from kirchhoff_lab.solvers import (
@@ -230,6 +236,27 @@ def test_newton_iteration_budget_respected(interval):
     assert not out.converged
     assert out.iterations == 1
     assert "max iterations" in out.message
+
+
+def test_newton_recovers_manufactured_solution_on_rectangle():
+    # discrete manufactured solution on 63x63 interior nodes (3969 unknowns,
+    # whose dense Jacobian alone would take 126 MB): lam f is set so that
+    # coeff(u*) (-lap_h u*) - u*^p - lam f = 0 holds exactly on the grid
+    mesh = build_mesh("rectangle", (1.0, 1.0), (65, 65))
+    b, alpha, p = 1.0, 1.0, 2.0
+    exact = mesh.field_from_callable(
+        lambda x, y: 1.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
+    coeff = 1.0 + b * h1_seminorm(mesh, exact) ** (2.0 * alpha)
+    lam_f = coeff * laplacian_apply(mesh, exact).values - exact.values**p
+    params = ProblemParams(b=b, alpha=alpha, p=p, lam=1.0, f=GridFunction(mesh, lam_f))
+    bump = mesh.field_from_callable(
+        lambda x, y: 0.3 * np.sin(2 * np.pi * x) * np.sin(3 * np.pi * y))
+    start = 0.6 * exact + bump
+    out = newton_nonlocal(mesh, params, SolverConfig(tol=1e-9), start)
+    assert out.converged
+    assert out.iterations <= 10
+    assert sup_norm(mesh, out.solution - exact) <= 1e-9
+    assert out.positivity == "strictly-positive"
 
 
 def test_newton_residual_matches_gradient_supnorm(interval):
