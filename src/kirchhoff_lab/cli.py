@@ -10,15 +10,14 @@ Recognized keys:
     lambda       forcing amplitude (scalar)          } mutually
     lambda-grid  space-separated ascending amplitudes } exclusive
     b-grid       space-separated b values (b0-scan)
-    tol max_iter damping path_nodes seed             solver knobs
+    tol max_iter seed                                solver knobs
     out          output directory
 
 Outputs land in the output directory: report.txt always (line format
 "CHECK <name>: PASS|FAIL (detail)"), branch.csv for solution tables,
 votes.csv / bscan.csv for the threshold kinds.  Exit status: 0 all
 checks passed, 1 some check failed, 2 configuration error.  Identical
-(config, seed) pairs produce byte-identical files; KIRCHHOFF_LAB_THREADS
-only changes wall time, never bytes.
+(config, seed) pairs produce byte-identical files.
 """
 
 import argparse
@@ -30,6 +29,7 @@ from dataclasses import dataclass, replace
 
 from . import constants
 from .continuation import (
+    TARGET_RATIO,
     BranchPoint,
     _point,
     estimate_Lambda_f,
@@ -46,7 +46,6 @@ from .solvers import (
     descent_minimize,
     mountain_pass_search,
     picard_iterate,
-    thread_count,
 )
 from .verify import (
     kirchhoff_shooting,
@@ -72,8 +71,6 @@ class ExperimentConfig:
     b_grid: tuple = ()
     tol: float = 1e-8
     max_iter: int = 500
-    damping: float = 1.0
-    path_nodes: int = 17
     seed: int = 42
     out: str = "out"
 
@@ -121,8 +118,6 @@ _PARSERS = {
     "b-grid": _floats,
     "tol": float,
     "max_iter": int,
-    "damping": float,
-    "path_nodes": int,
     "seed": int,
     "out": str,
 }
@@ -210,8 +205,7 @@ def _mesh_of(config: ExperimentConfig):
 
 def _solver_config(config: ExperimentConfig) -> SolverConfig:
     return SolverConfig(tol=config.tol, max_iter=config.max_iter,
-                        damping=config.damping, seed=config.seed,
-                        path_nodes=config.path_nodes)
+                        seed=config.seed)
 
 
 def _params_of(config: ExperimentConfig, mesh, forcing, lam: float) -> ProblemParams:
@@ -327,7 +321,6 @@ def _verify_checks(lines, mesh, params, config, regime, forcing, outs):
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one experiment; write report.txt (+ CSVs); return exit code."""
     try:
-        thread_count()  # a malformed KIRCHHOFF_LAB_THREADS fails before any solve
         mesh = _mesh_of(config)
         forcing = make_forcing(mesh, config.forcing) if config.forcing else None
         solver_cfg = _solver_config(config)
@@ -357,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         elif config.kind == "threshold":
             params = _params_of(config, mesh, forcing, config.lam)
             est = estimate_Lambda_f(mesh, params, solver_cfg)
-            ok = math.isfinite(est.upper) and est.ratio <= 1.1
+            ok = math.isfinite(est.upper) and est.ratio <= TARGET_RATIO
             detail = (f"[{_fmt(est.lower)}, {_fmt(est.upper)}], "
                       f"ratio: {est.ratio:.4f}" if math.isfinite(est.upper)
                       else f"open upper bracket above {_fmt(est.lower)}")

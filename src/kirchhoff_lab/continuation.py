@@ -33,7 +33,6 @@ from .solvers import (
     multi_start,
     newton_nonlocal,
     picard_iterate,
-    thread_map,
 )
 from .verify import _homogeneous_probes
 
@@ -48,11 +47,9 @@ class BranchPoint:
     sup_norm: float
     energy_total: float
     residual: float
-    fold_flag: bool = False  # warm start died and the branch teleported
 
 
-def _point(lam: float, out: SolveOutcome, mesh: DomainMesh,
-           fold: bool = False) -> BranchPoint:
+def _point(lam: float, out: SolveOutcome, mesh: DomainMesh) -> BranchPoint:
     return BranchPoint(
         lam=lam,
         solver=out.solver,
@@ -62,7 +59,6 @@ def _point(lam: float, out: SolveOutcome, mesh: DomainMesh,
         sup_norm=sup_norm(mesh, out.solution),
         energy_total=out.energy.total,
         residual=out.residual,
-        fold_flag=fold,
     )
 
 
@@ -82,17 +78,9 @@ def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
         raise ValueError("lambda grid must be strictly ascending")
     points: list[BranchPoint] = []
     prev: list[GridFunction] = []
-    prev_sem = None
-    increments: list[float] = []
     for lam in lam_grid:
         p_lam = replace(params, lam=lam)
-        outcomes = []
-        warm_failed = prev != []
-        for u0 in prev:
-            out = newton_nonlocal(mesh, p_lam, config, u0)
-            outcomes.append(out)
-            if out.converged:
-                warm_failed = False
+        outcomes = [newton_nonlocal(mesh, p_lam, config, u0) for u0 in prev]
         for solver in (descent_minimize, picard_iterate):
             try:
                 outcomes.append(solver(mesh, p_lam, config))
@@ -104,14 +92,7 @@ def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
             pass
         kept = distinct_positive(outcomes, config.tol)
         if kept:
-            sem = kept[0].seminorm
-            fold = (warm_failed and prev_sem is not None and increments != []
-                    and abs(sem - prev_sem) > 10.0 * max(increments))
-            points.extend(_point(lam, o, mesh, fold and i == 0)
-                          for i, o in enumerate(kept))
-            if prev_sem is not None:
-                increments = (increments + [abs(sem - prev_sem)])[-5:]
-            prev_sem = sem
+            points.extend(_point(lam, o, mesh) for o in kept)
             prev = [o.solution for o in kept]
         elif outcomes:
             best = min(outcomes, key=lambda o: o.residual)
@@ -124,6 +105,10 @@ def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
 
 # ---------------------------------------------------------------------------
 # solvability threshold in lambda
+
+
+# estimate_Lambda_f shrinks its bracket to this upper/lower ratio
+TARGET_RATIO = 1.1
 
 
 @dataclass(frozen=True)
@@ -161,13 +146,12 @@ def _vote(mesh, params, config, warm):
 
 
 def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
-                      config: SolverConfig, lam_max: float = 1e9,
-                      target_ratio: float = 1.1) -> ThresholdEstimate:
+                      config: SolverConfig, lam_max: float = 1e9) -> ThresholdEstimate:
     """Bracket the largest solvable lambda by geometric bisection.
 
     Starts from params.lam (halving until a solvable point is found),
-    doubles until a point fails twice, then shrinks the bracket to the
-    requested ratio.  If nothing fails below ``lam_max`` the upper
+    doubles until a point fails twice, then shrinks the bracket to
+    ``TARGET_RATIO``.  If nothing fails below ``lam_max`` the upper
     bracket is reported open (inf) rather than invented.
     """
     letter = regime_letter(params, mesh.dim)
@@ -202,7 +186,7 @@ def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
         lo, hi = hi, hi * 2.0
     if hi > lam_max:
         hi = math.inf  # nothing failed below lam_max: the bracket stays open
-    while math.isfinite(hi) and hi / lo > target_ratio:
+    while math.isfinite(hi) and hi / lo > TARGET_RATIO:
         mid = math.sqrt(lo * hi)
         if probe(mid):
             lo = mid
@@ -275,8 +259,7 @@ def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
     beta = 2.0 * params.alpha / (params.p - 1.0)
     oracle = _homogeneous_probes(mesh, params.p, params.alpha, b_grid)
 
-    def probe(item) -> BThresholdPoint:
-        b, pr = item
+    def probe(b, pr) -> BThresholdPoint:
         t = consistency_root(G_grid, beta, b)
         grid_found = False
         if t is not None:
@@ -290,7 +273,7 @@ def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
         return BThresholdPoint(b, grid_found, pr.found, defect,
                                grid_found == pr.found)
 
-    pts = thread_map(probe, zip(b_grid, oracle))
+    pts = [probe(b, pr) for b, pr in zip(b_grid, oracle)]
     found_bs = [pt.b for pt in pts if pt.oracle_found]
     missing_bs = [pt.b for pt in pts if not pt.oracle_found]
     lo = max(found_bs) if found_bs else 0.0

@@ -386,10 +386,13 @@ def sobolev_minimizer(mesh: DomainMesh, p: float, tol: float = 1e-8,
         u = _values(mesh, initial).copy()
     u = u / lp_norm(mesh, u, p + 1.0)
     S = float(l2_inner(mesh, u, laplacian_apply(mesh, GridFunction(mesh, u))))
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         rhs = np.abs(u) ** (p - 1.0) * u
         w = poisson_solve(mesh, rhs).values
         u = w / lp_norm(mesh, w, p + 1.0)
+        if not np.all(np.isfinite(u)):
+            raise ConvergenceError(
+                f"embedding-quotient iteration blew up at sweep {sweep}")
         Lu = laplacian_apply(mesh, GridFunction(mesh, u)).values
         S = float(np.sum(mesh.weights * u * Lu))
         grad = 2.0 * (Lu - S * np.abs(u) ** (p - 1.0) * u)

@@ -24,8 +24,6 @@ Picard/descent outputs and deduplicates, which is how uniqueness and
 nonexistence get probed.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,20 +56,14 @@ from .scalar_reduction import kirchhoff_linear_solve, picard_rescale
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 500
-    damping: float = 1.0
     seed: int = 42
     rho0: float | None = None  # trust ball radius for regime-B descent
-    path_nodes: int = 17  # mountain-pass path resolution
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.path_nodes < 5:
-            raise ValueError("mountain-pass path needs at least 5 nodes")
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,8 @@ def build_barrier(mesh: DomainMesh, params: ProblemParams) -> Barrier:
 # Picard iteration
 
 
-def picard_iterate(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
-                   barrier="auto") -> SolveOutcome:
+def picard_iterate(mesh: DomainMesh, params: ProblemParams,
+                   config: SolverConfig) -> SolveOutcome:
     """Fixed-point iteration u_{n+1} = rescale(poisson_solve((u_n)_+^p + lam f)).
 
     Starts from the linear comparison solution.  In regime C a barrier is
@@ -165,9 +157,8 @@ def picard_iterate(mesh: DomainMesh, params: ProblemParams, config: SolverConfig
     the sandwich, blowing up, or exhausting max_iter yields a
     non-converged outcome (a "no answer" vote, never a proof).
     """
-    regime = regime_letter(params, mesh.dim)
-    bar = barrier if isinstance(barrier, Barrier) else None
-    if bar is None and barrier == "auto" and regime == "C":
+    bar = None
+    if regime_letter(params, mesh.dim) == "C":
         try:
             bar = build_barrier(mesh, params)
         except BarrierError as exc:
@@ -291,7 +282,7 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
                             config, False, message="rank-one update degenerate",
                             history=history)
         delta = x1 - x2 * (float(q @ x1) / denom)
-        s = config.damping
+        s = 1.0
         accepted = False
         for _ in range(40):
             trial = u + s * delta
@@ -469,6 +460,10 @@ def _respline(path: list[np.ndarray], mesh: DomainMesh) -> list[np.ndarray]:
     return out
 
 
+PATH_NODES = 17  # mountain-pass path resolution
+SWEEP_CAP = 6000  # relaxation sweeps before the top node is returned
+
+
 def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
                          config: SolverConfig) -> SolveOutcome:
     """Discretized mountain-pass relaxation polished by Newton.
@@ -477,6 +472,8 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
     path runs from 0 to t0*phi1 with t0 doubled until the endpoint energy
     is negative; the highest interior node is pulled downhill with a
     preconditioned Armijo step and the path is re-splined each sweep.
+    When no polish certifies a saddle, the path's top node comes back
+    unconverged, with the reason in ``message``.
     """
     regime = regime_letter(params, mesh.dim)
     if regime != "B":
@@ -501,23 +498,24 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
     else:
         raise RegimeError("could not drive the endpoint energy negative")
 
-    K = config.path_nodes
-    path = [(i / (K - 1)) * t0 * phi1.values for i in range(K)]
+    path = [(i / (PATH_NODES - 1)) * t0 * phi1.values for i in range(PATH_NODES)]
     lam_f = forcing_values(mesh, params)
     scale = 1.0 + float(np.max(np.abs(lam_f)))
     gate = max(1e-3 * scale, 10.0 * config.tol)
-    outer_cap = 6000
     polish_every = 25
     history = []
-    best = None
+    reason = f"sweep cap {SWEEP_CAP} reached"
 
     def dirichlet_inner(a, b):
         return float(np.sum(mesh.weights * laplacian_apply(mesh, a).values * b))
 
-    for sweep in range(outer_cap):
+    def top_node():
         energies = [energy_eval(mesh, params, GridFunction(mesh, v)).total
                     for v in path]
-        j = 1 + int(np.argmax(energies[1:-1]))
+        return 1 + int(np.argmax(energies[1:-1])), energies
+
+    for sweep in range(SWEEP_CAP):
+        j, energies = top_node()
         if energies[j] <= max(0.0, energies[-1]) + 1e-14:
             return _outcome(mesh, params, path[j], "mountain-pass", sweep, config,
                             False, message="path collapsed (no positive pass level)")
@@ -540,11 +538,10 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
                     message=f"pass level {energies[j]:.6g} (floor E0={geom.E0:.6g})",
                     residual_history=tuple(history),
                 )
-            if best is None or (cand.converged and not best.converged):
-                best = cand
             if res <= gate:
                 gate *= 0.25
                 if gate < config.tol:
+                    reason = "Newton gate fell below tol"
                     break
         # descend perpendicular to the path so the node lowers the pass
         # instead of sliding along the string into a valley
@@ -570,42 +567,15 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
                 break
             s *= 0.5
         path = _respline(path, mesh)
-    fallback = best.solution.values if best is not None else path[len(path) // 2]
-    return _outcome(mesh, params, fallback, "mountain-pass", outer_cap, config,
-                    False, message="pass relaxation did not certify a saddle",
-                    history=history)
+    j, energies = top_node()
+    return _outcome(mesh, params, path[j], "mountain-pass", len(history), config,
+                    False, history=history,
+                    message=f"no polish certified a saddle ({reason}); top path "
+                            f"node returned at level {energies[j]:.6g}")
 
 
 # ---------------------------------------------------------------------------
 # multi-start driver
-
-
-def thread_count() -> int:
-    """KIRCHHOFF_LAB_THREADS as an integer; unset or empty means 1.
-
-    A value that is not an integer raises a ValueError naming the
-    variable.
-    """
-    raw = os.environ.get("KIRCHHOFF_LAB_THREADS", "")
-    try:
-        return int(raw) if raw.strip() else 1
-    except ValueError:
-        raise ValueError(
-            f"KIRCHHOFF_LAB_THREADS must be an integer, got {raw!r}") from None
-
-
-def thread_map(fn, items) -> list:
-    """[fn(x) for x in items] in order, on thread_count() threads.
-
-    The variable is read on every call, and a value <= 1 runs
-    sequentially.  Results merge by index, never by arrival, so the
-    thread count changes wall time only.
-    """
-    threads = thread_count()
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def distinct_positive(outcomes, tol: float) -> list[SolveOutcome]:
@@ -654,6 +624,5 @@ def multi_start(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
         GridFunction(mesh, c1 * phi1.values + c2 * psi.values) for c1, c2 in coeffs
     )
 
-    outcomes = thread_map(
-        lambda init: newton_nonlocal(mesh, params, config, init), initials)
+    outcomes = [newton_nonlocal(mesh, params, config, init) for init in initials]
     return distinct_positive(outcomes, config.tol)

@@ -191,26 +191,28 @@ def _simpson(y: np.ndarray, h: float) -> float:
                              + 2.0 * np.sum(y[2:-1:2]))
 
 
+# RK4 steps per grid spacing (per half spacing on the mirrored interval)
+REFINE = 8
+
+
 class _ShootingSetup:
     """Geometry bookkeeping shared by the oracle entry points."""
 
-    def __init__(self, mesh: DomainMesh, refine: int, f_fn):
-        if refine < 2 or refine % 2:
-            raise ValueError("refine must be an even integer >= 2")
+    def __init__(self, mesh: DomainMesh, f_fn):
         if mesh.kind == "ball":
             self.dim = 3
             self.R = mesh.extents[0]
             n_axis = round(self.R / mesh.h)
-            self.nsteps = refine * n_axis
-            self.h_s = mesh.h / refine
-            self.node_index = np.arange(mesh.shape[0]) * refine
+            self.nsteps = REFINE * n_axis
+            self.h_s = mesh.h / REFINE
+            self.node_index = np.arange(mesh.shape[0]) * REFINE
         elif mesh.kind == "interval":
             # mirror about the midpoint: symmetric data assumed
             self.dim = 1
             self.R = 0.5 * mesh.extents[0]
             n_axis = round(mesh.extents[0] / mesh.h)
-            self.nsteps = refine * n_axis
-            self.h_s = mesh.h / (2 * refine)
+            self.nsteps = REFINE * n_axis
+            self.h_s = mesh.h / (2 * REFINE)
             center = _interval_center(mesh)
             off = np.abs(mesh.coords[0] - center) / self.h_s
             self.node_index = np.rint(off).astype(int)
@@ -316,7 +318,7 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> float:
 
 
 def shooting_solve(mesh: DomainMesh, p: float, c_pow: float = 1.0,
-                   c_f: float = 0.0, f_fn=None, refine: int = 8) -> GridFunction:
+                   c_f: float = 0.0, f_fn=None) -> GridFunction:
     """Oracle for Delta u + c_pow (u+)^p + c_f f = 0, radial or mirrored 1-D.
 
     Integrates outward with u'(0) = 0 and solves for u(0) so that the
@@ -325,7 +327,7 @@ def shooting_solve(mesh: DomainMesh, p: float, c_pow: float = 1.0,
     are solved on the half domain, so f must be symmetric about the
     midpoint.
     """
-    setup = _ShootingSetup(mesh, refine, f_fn)
+    setup = _ShootingSetup(mesh, f_fn)
     a = _center_value(setup, p, c_pow, c_f)
     prof, _ = setup.shoot(a, p, c_pow, c_f)
     return setup.to_grid(prof)
@@ -340,10 +342,9 @@ class HomogeneousProbe:
     consistency_defect: float  # |zeta(t)| at the root
 
 
-def _homogeneous_probes(mesh: DomainMesh, p: float, alpha: float, bs,
-                        refine: int = 8) -> list:
+def _homogeneous_probes(mesh: DomainMesh, p: float, alpha: float, bs) -> list:
     """homogeneous_shooting at each b in bs, from one shot of the base profile."""
-    setup = _ShootingSetup(mesh, refine, None)
+    setup = _ShootingSetup(mesh, None)
     a = _center_value(setup, p, 1.0, 0.0)
     prof, dprof = setup.shoot(a, p, 1.0, 0.0)
     boundary_defect = abs(float(prof[-1]))
@@ -362,8 +363,8 @@ def _homogeneous_probes(mesh: DomainMesh, p: float, alpha: float, bs,
     return [probe(b) for b in bs]
 
 
-def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float, b: float,
-                         refine: int = 8) -> HomogeneousProbe:
+def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float,
+                         b: float) -> HomogeneousProbe:
     """Existence probe for the unforced problem via scalar consistency.
 
     The unforced semilinear profile scales exactly, so the nonlocal
@@ -372,11 +373,11 @@ def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float, b: float,
     map stays above the diagonal and no solution exists; below it the
     smallest root is returned along with the scaled profile.
     """
-    return _homogeneous_probes(mesh, p, alpha, [b], refine)[0]
+    return _homogeneous_probes(mesh, p, alpha, [b])[0]
 
 
 def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,
-                       refine: int = 8, max_outer: int = 300) -> GridFunction:
+                       max_outer: int = 300) -> GridFunction:
     """Shooting oracle for the full forced nonlocal problem.
 
     ``f_fn`` is the coordinate callable for the forcing (the nodal field
@@ -392,7 +393,7 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,
     """
     if params.lam > 0.0 and f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")
-    setup = _ShootingSetup(mesh, refine, f_fn)
+    setup = _ShootingSetup(mesh, f_fn)
     t = 0.0
     t_prev = F_prev = None
     for _ in range(max_outer):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from kirchhoff_lab import cli, constants
+from kirchhoff_lab import constants
 from kirchhoff_lab.cli import main, parse_config, run_experiment
 from kirchhoff_lab.exceptions import ConfigError
 from kirchhoff_lab.mesh import build_mesh
@@ -238,17 +238,26 @@ def test_extra_forcing_arguments_exit_2(tmp_path, capsys, spec):
     assert repr(spec) in capsys.readouterr().err
 
 
-def test_bad_thread_count_exits_2_before_solving(tmp_path, capsys,
-                                                  monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solver ran despite a malformed thread count")
-
-    monkeypatch.setattr(cli, "descent_minimize", no_solve)
-    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "two")
-    code, out = run_cfg(tmp_path, SOLVE_A, command="verify")
+@pytest.mark.parametrize("line", ["damping = 0.5", "path_nodes = 9"])
+def test_removed_solver_knobs_exit_2(tmp_path, capsys, line):
+    code, out = run_cfg(tmp_path, SOLVE_A + line + "\n")
     assert code == 2
-    assert "KIRCHHOFF_LAB_THREADS" in capsys.readouterr().err
+    assert f"unknown key: {line.split()[0]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_coarse_ball_embedding_blowup_fails_check(tmp_path, capsys):
+    # on ball 17 at p = 4 the embedding-quotient iteration diverges; the
+    # run reports it as a failed check, not as a configuration error
+    text = ("kind = verify\np = 4\nalpha = 1\nb = 1\nlambda = 0.05\n"
+            "f = constant 1.0\ndomain = ball 1.0 17\n")
+    code, out = run_cfg(tmp_path, text)
+    assert code == 1
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    assert report.startswith("CHECK converged: FAIL (embedding-quotient "
+                             "iteration blew up at sweep ")
+    assert "configuration error" not in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 import kirchhoff_lab
 from kirchhoff_lab import _kernels
-from kirchhoff_lab.exceptions import MeshError, MeshMismatchError
+from kirchhoff_lab.exceptions import ConvergenceError, MeshError, MeshMismatchError
 from kirchhoff_lab.mesh import (
     GridFunction,
     build_mesh,
@@ -323,6 +323,15 @@ def test_sobolev_constant_scale_invariant_start():
     s1 = sobolev_constant(mesh, 2.0, initial=phi)
     s2 = sobolev_constant(mesh, 2.0, initial=2.0 * phi)
     assert s1 == pytest.approx(s2, rel=1e-10)
+
+
+def test_sobolev_constant_blowup_raises_convergence_error():
+    # on ball 17 at p = 4 the zero-weight origin node runs away within a
+    # few dozen sweeps; that is a solver failure, not a bad grid function
+    mesh = build_mesh("ball", 1.0, 17)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="blew up at sweep"):
+            sobolev_constant(mesh, 4.0)
 
 
 def test_lp_norm_rejects_bad_exponent():

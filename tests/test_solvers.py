@@ -8,12 +8,10 @@ Oracles used here:
 * the linear comparison witness, which bounds descent energies from above.
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from kirchhoff_lab import constants
+from kirchhoff_lab import constants, solvers
 from kirchhoff_lab.energy import energy_eval, energy_gradient
 from kirchhoff_lab.exceptions import (
     BarrierError,
@@ -384,6 +382,26 @@ def test_mountain_pass_two_distinct_solutions(ball):
     assert sup_norm(ball, high.solution - low.solution) >= 1e-3
 
 
+def test_mountain_pass_fallback_returns_top_path_node(ball, monkeypatch):
+    # a polish that never converges runs the search into its sweep cap;
+    # the fallback is then the path's top node, not the last polish
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.02, f=const_one(ball))
+    config = SolverConfig(tol=1e-4)
+
+    def no_polish(mesh, params, config, initial):
+        return solvers._outcome(mesh, params, 2.0 * initial.values, "newton", 1,
+                                config, False, message="stub")
+
+    monkeypatch.setattr(solvers, "newton_nonlocal", no_polish)
+    monkeypatch.setattr(solvers, "SWEEP_CAP", 30)
+    out = mountain_pass_search(ball, params, config)
+    assert not out.converged and out.solver == "mountain-pass"
+    assert out.iterations == 30 == len(out.residual_history)
+    assert "sweep cap 30 reached" in out.message
+    assert f"level {out.energy.total:.6g}" in out.message
+    assert out.energy.total > 0.0
+
+
 def test_mountain_pass_requires_regime_b(interval):
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.1, f=const_one(interval))
     with pytest.raises(RegimeError):
@@ -432,32 +450,6 @@ def test_multi_start_needs_two_starts(interval):
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
     with pytest.raises(ValueError):
         multi_start(interval, params, SolverConfig(), 1)
-
-
-def test_multi_start_thread_count_does_not_change_result(interval, monkeypatch):
-    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
-    base = multi_start(interval, params, SolverConfig(), 5)
-    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "3")
-    threaded = multi_start(interval, params, SolverConfig(), 5)
-    assert len(base) == len(threaded)
-    for a, b in zip(base, threaded):
-        assert a.energy.total == b.energy.total
-        assert np.array_equal(a.solution.values, b.solution.values)
-
-
-def test_multi_start_empty_thread_count_means_one(interval, monkeypatch):
-    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
-    base = multi_start(interval, params, SolverConfig(), 3)
-    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "")
-    again = multi_start(interval, params, SolverConfig(), 3)
-    assert [o.energy.total for o in again] == [o.energy.total for o in base]
-
-
-def test_multi_start_rejects_non_integer_thread_count(interval, monkeypatch):
-    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
-    monkeypatch.setenv("KIRCHHOFF_LAB_THREADS", "two")
-    with pytest.raises(ValueError, match="KIRCHHOFF_LAB_THREADS"):
-        multi_start(interval, params, SolverConfig(), 2)
 
 
 def test_newton_rejects_transposed_start():

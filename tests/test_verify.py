@@ -221,11 +221,6 @@ def test_shooting_rejects_rectangle():
         shooting_solve(mesh, p=2.0)
 
 
-def test_shooting_refine_validation(interval):
-    with pytest.raises(ValueError):
-        shooting_solve(interval, p=2.0, refine=3)
-
-
 def test_shooting_matches_mountain_pass(interval):
     # semilinear cubic ground state: two unrelated discretizations agree
     w = shooting_solve(interval, p=3.0, c_pow=1.0)
@@ -295,7 +290,7 @@ def test_brent_smooth_bracket():
 def test_brent_linear_torsion_map(ball):
     # the c_pow = 0 endpoint map is affine in the center value: the first
     # secant step lands on the root, within the ladder rung [1/8, 1/4]
-    setup = _ShootingSetup(ball, 8, lambda r: np.ones_like(r))
+    setup = _ShootingSetup(ball, lambda r: np.ones_like(r))
     shots = []
 
     def endpoint(a):
