@@ -273,7 +273,8 @@ def _verify_checks(lines, mesh, params, config, regime, forcing, outs):
             outs.append(mp)
             _check(lines, "mountain-pass", mp.converged and
                    mp.positivity == "strictly-positive",
-                   f"energy: {mp.energy.total:.6e}, residual: {mp.residual:.3e}")
+                   f"energy: {mp.energy.total:.6e}, residual: {mp.residual:.3e}, "
+                   f"{mp.message}")
             if mp.converged:
                 dist = sup_norm(mesh, mp.solution - u)
                 _check(lines, "distinct-solutions", dist >= 10.0 * config.tol,

@@ -389,10 +389,14 @@ def sobolev_minimizer(mesh: DomainMesh, p: float, tol: float = 1e-8,
     for sweep in range(1, max_iter + 1):
         rhs = np.abs(u) ** (p - 1.0) * u
         w = poisson_solve(mesh, rhs).values
-        u = w / lp_norm(mesh, w, p + 1.0)
-        if not np.all(np.isfinite(u)):
+        # a runaway iterate overflows |w|^{p+1} inside the norm first; the
+        # non-finite norm is the blow-up signal, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = lp_norm(mesh, w, p + 1.0)
+        if not np.isfinite(norm):
             raise ConvergenceError(
                 f"embedding-quotient iteration blew up at sweep {sweep}")
+        u = w / norm
         Lu = laplacian_apply(mesh, GridFunction(mesh, u)).values
         S = float(np.sum(mesh.weights * u * Lu))
         grad = 2.0 * (Lu - S * np.abs(u) ** (p - 1.0) * u)

@@ -10,7 +10,10 @@ Four procedures, matched to the exponent regimes:
   The Jacobian is a local operator plus the rank-one term coming from
   differentiating |grad u|^{2 alpha}; solved with the rank-one update
   formula around two local-operator solves, block-tridiagonal on
-  rectangles and dense on the 1-D meshes.
+  rectangles and dense on the 1-D meshes.  It stops converged, or with
+  one of "singular local operator", "rank-one update degenerate",
+  "damping below floor at residual ...", "iterates blew up" or
+  "max iterations reached" in ``message``.
 * ``descent_minimize``    -- Armijo backtracking on the energy with the
   Poisson-preconditioned gradient, optionally confined to the trust ball
   |grad u| <= rho0 (regime B's local minimizer), with a guarded Newton
@@ -50,6 +53,10 @@ from .problem import (
     regime_letter,
 )
 from .scalar_reduction import kirchhoff_linear_solve, picard_rescale
+
+PATH_NODES = 17  # mountain-pass path resolution
+SWEEP_CAP = 6000  # relaxation sweeps before the top node is returned
+DAMPING_FLOOR = 2.0**-10  # smallest Newton step fraction tried (11 trials)
 
 
 @dataclass(frozen=True)
@@ -243,6 +250,19 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     dense LU: the tridiagonal kernels would change the round-off, and the
     energies of duplicate solutions in ``distinct_positive`` tie to every
     printed digit, so which duplicate is kept would change with it.
+
+    Each step backtracks from the full step, halving the fraction s while
+    s >= DAMPING_FLOOR (Deuflhard's damping floor, *Newton Methods for
+    Nonlinear Problems*, ch. 3), so a hopeless step costs 11 residuals.
+    Stop reasons other than residual <= tol, in ``message``:
+
+    * "singular local operator" -- the local solve failed or was not finite;
+    * "rank-one update degenerate" -- the rank-one denominator vanished;
+    * "damping below floor at residual R" -- no trial step down to the
+      floor reduced the residual;
+    * "iterates blew up" -- the accepted iterate left 1e12 times the
+      forcing scale (the zero field is returned);
+    * "max iterations reached".
     """
     lam_f = forcing_values(mesh, params).ravel()
     u = _values(mesh, initial).ravel().copy()
@@ -283,19 +303,17 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
                             history=history)
         delta = x1 - x2 * (float(q @ x1) / denom)
         s = 1.0
-        accepted = False
-        for _ in range(40):
+        while s >= DAMPING_FLOOR:
             trial = u + s * delta
             _, _, _, _, _, _, Ft = _newton_pieces(mesh, params, lam_f, trial)
             if np.all(np.isfinite(Ft)) and np.max(np.abs(Ft)) <= (1.0 - 1e-4 * s) * res:
                 u = trial
-                accepted = True
                 break
             s *= 0.5
-        if not accepted:
+        else:
             return _outcome(mesh, params, u.reshape(mesh.shape), "newton", it,
                             config, False,
-                            message=f"line search stalled at residual {res:.3e}",
+                            message=f"damping below floor at residual {res:.3e}",
                             history=history)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e12 * scale:
             return _outcome(mesh, params, np.zeros(mesh.shape), "newton", it,
@@ -458,10 +476,6 @@ def _respline(path: list[np.ndarray], mesh: DomainMesh) -> list[np.ndarray]:
         out.append((1.0 - frac) * path[j] + frac * path[j + 1])
     out.append(path[-1])
     return out
-
-
-PATH_NODES = 17  # mountain-pass path resolution
-SWEEP_CAP = 6000  # relaxation sweeps before the top node is returned
 
 
 def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,

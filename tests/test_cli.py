@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from kirchhoff_lab import constants
+from kirchhoff_lab import constants, solvers
 from kirchhoff_lab.cli import main, parse_config, run_experiment
 from kirchhoff_lab.exceptions import ConfigError
 from kirchhoff_lab.mesh import build_mesh
@@ -246,10 +246,11 @@ def test_removed_solver_knobs_exit_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_coarse_ball_embedding_blowup_fails_check(tmp_path, capsys):
     # on ball 17 at p = 4 the embedding-quotient iteration diverges; the
-    # run reports it as a failed check, not as a configuration error
+    # run reports it as a failed check, not as a configuration error, and
+    # numpy raises no overflow warning on the way
     text = ("kind = verify\np = 4\nalpha = 1\nb = 1\nlambda = 0.05\n"
             "f = constant 1.0\ndomain = ball 1.0 17\n")
     code, out = run_cfg(tmp_path, text)
@@ -258,6 +259,19 @@ def test_coarse_ball_embedding_blowup_fails_check(tmp_path, capsys):
     assert report.startswith("CHECK converged: FAIL (embedding-quotient "
                              "iteration blew up at sweep ")
     assert "configuration error" not in capsys.readouterr().err
+
+
+def test_mountain_pass_check_says_why_it_stopped(tmp_path, monkeypatch):
+    # the saddle search's stop reason rides on its CHECK line
+    monkeypatch.setattr(solvers, "SWEEP_CAP", 30)
+    text = ("kind = verify\np = 4\nalpha = 1\nb = 1\nlambda = 0.05\n"
+            "f = constant 1.0\ndomain = ball 1.0 65\n")
+    code, out = run_cfg(tmp_path, text)
+    assert code == 1
+    line, = [ln for ln in (out / "report.txt").read_text().splitlines()
+             if ln.startswith("CHECK mountain-pass")]
+    assert line.startswith("CHECK mountain-pass: FAIL (energy: ")
+    assert "no polish certified a saddle (sweep cap 30 reached)" in line
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -236,6 +236,46 @@ def test_newton_iteration_budget_respected(interval):
     assert "max iterations" in out.message
 
 
+def _count_residuals(monkeypatch):
+    calls = []
+    pieces = solvers._newton_pieces
+
+    def counting(mesh, params, lam_f, u):
+        calls.append(1)
+        return pieces(mesh, params, lam_f, u)
+
+    monkeypatch.setattr(solvers, "_newton_pieces", counting)
+    return calls
+
+
+def test_newton_hopeless_step_stops_at_damping_floor(monkeypatch):
+    # far above the threshold no positive solution exists; the first step
+    # fails every trial down to the floor, so the run ends after 1 + 11
+    # residuals instead of accepting a 2^-16 step and wandering on
+    ball = build_mesh("ball", (1.0,), 17)
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1.4e7, f=const_one(ball))
+    _, phi1 = constants.eigenpair(ball)
+    calls = _count_residuals(monkeypatch)
+    out = newton_nonlocal(ball, params, SolverConfig(tol=1e-4), phi1)
+    assert not out.converged
+    assert out.message.startswith("damping below floor")
+    assert len(calls) <= 12
+
+
+def test_newton_converges_through_damped_steps(interval, monkeypatch):
+    # from -3 phi1 some steps pass only after halving; the floor must
+    # leave such damped steps alone
+    params = ProblemParams(b=10.0, alpha=1.0, p=2.0, lam=10.0, f=const_one(interval))
+    _, phi1 = constants.eigenpair(interval)
+    calls = _count_residuals(monkeypatch)
+    out = newton_nonlocal(interval, params, SolverConfig(), -3.0 * phi1)
+    assert out.converged
+    assert out.positivity == "strictly-positive"
+    # one residual per iterate plus one per trial: any extra trial means
+    # some step was accepted only after halving
+    assert len(calls) > 2 * out.iterations + 1
+
+
 def test_newton_recovers_manufactured_solution_on_rectangle():
     # discrete manufactured solution on 63x63 interior nodes (3969 unknowns,
     # whose dense Jacobian alone would take 126 MB): lam f is set so that
