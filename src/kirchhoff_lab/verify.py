@@ -9,7 +9,12 @@ Everything here deliberately avoids the solver machinery it certifies:
 * ``shooting_solve``     -- RK4 marching of the radial/mirrored ODE plus
   a root search on the center value (a geometric ladder for the first
   sign change, then Brent's method inside it); a discretization fully
-  independent of the grid stencils.  ``homogeneous_shooting`` adds the
+  independent of the grid stencils.  The ladder starts at half a proven
+  floor a_lo below which the endpoint u_a(R) cannot change sign:
+  a_lo = -u_0(R) for a nonnegative forcing (u_a(R) <= a + u_0(R)), and
+  a_lo = (2 dim / (c_pow R^2))^(1/(p-1)) unforced
+  (u_a(R) >= a - c_pow a^p R^2 / (2 dim)); the factor 1/2 is a margin
+  against RK4 error.  ``homogeneous_shooting`` adds the
   scalar consistency analysis for the unforced problem,
   ``kirchhoff_shooting`` a secant outer loop on the nonlocal
   coefficient for the forced one.
@@ -291,29 +296,76 @@ def _brent(f, a, b, fa, fb, xtol) -> float:
     raise ConvergenceError("Brent's method did not settle in 120 steps")
 
 
-def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> float:
-    """Center value whose profile hits zero at the boundary radius.
+# center values tried for the first sign change of the endpoint map
+LADDER = 2.0 ** np.arange(-30, 62, dtype=float)
 
-    A geometric ladder from a = 0 finds the first sign change of the
-    endpoint map, so the smallest crossing (the minimal branch) is kept;
-    Brent's method then pins the root inside that rung.
+
+def _floor_rung(setup: _ShootingSetup, p, c_pow, c_f, e0) -> int:
+    """Index of the largest ladder rung <= a_lo/2, where a comparison bound
+    proves the endpoint keeps one sign on [0, a_lo); -1 without such a rung.
+
+    ``e0`` is the endpoint at a = 0.  See ``_center_value`` for the bounds.
     """
-    ladder = 2.0 ** np.arange(-30, 62, dtype=float)
+    if c_pow >= 0.0 and e0 < 0.0 and np.all(c_f * setup.f_half >= 0.0):
+        log_lo = math.log2(-e0)
+    elif c_f == 0.0 and c_pow > 0.0 and p > 1.0:
+        log_lo = math.log2(2.0 * setup.dim / (c_pow * setup.R**2)) / (p - 1.0)
+    else:
+        return -1
+    k = math.floor(min(log_lo, 64.0)) - 1  # 2^k <= a_lo/2 < 2^(k+1)
+    return max(-1, min(k + 30, len(LADDER) - 1))
+
+
+def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
+    """Profile ``(u, du)`` shot from the center value a = u[0] whose
+    profile hits zero at the boundary radius.
+
+    A geometric ladder finds the first sign change of the endpoint map
+    E(a) = u_a(R), so the smallest crossing (the minimal branch) is kept;
+    Brent's method then pins the root inside that rung.  The ladder starts
+    at a = 0, or at the largest rung <= a_lo/2 where a comparison bound
+    proves that E(a) keeps one sign for a < a_lo:
+
+    * forced, with c_pow >= 0, c_f f >= 0 and E(0) < 0: g(u) >= c_f f, so
+      E(a) <= a + E(0) and a_lo = -E(0);
+    * unforced, with c_f = 0, c_pow > 0 and p > 1: u decreases from a, so
+      E(a) >= a - c_pow a^p R^2 / (2 dim) and
+      a_lo = (2 dim / (c_pow R^2))^(1/(p-1)).
+
+    The factor 1/2 leaves a margin against RK4 error: |E(0)|/2 in the
+    forced case, a (1 - 2^(1-p)) in the unforced one.  Every skipped rung
+    has the sign of the first one shot, so the ladder meets the same first
+    sign change as from a = 0 and hands Brent the same bracket.  The
+    profiles kept are those of the last two rungs and of Brent's shots,
+    the only points that can be returned.
+    """
+    shots = {}
+
+    def endpoint(a):
+        shots[a] = setup.shoot(a, p, c_pow, c_f)
+        return float(shots[a][0][-1])
+
     prev_a = 0.0
-    prev_val = setup.endpoint(0.0, p, c_pow, c_f)
+    prev_val = endpoint(0.0)
     if prev_val == 0.0 and c_f != 0.0:
-        return 0.0
-    for a in ladder:
-        val = setup.endpoint(a, p, c_pow, c_f)
-        if not np.isfinite(val):
+        return shots[0.0]
+    start = _floor_rung(setup, p, c_pow, c_f, prev_val)
+    if start >= 0:
+        del shots[prev_a]
+        prev_a = float(LADDER[start])
+        prev_val = endpoint(prev_a)
+    for a in LADDER[start + 1:].tolist():
+        val = endpoint(a)
+        if not math.isfinite(val):
             break
         if val == 0.0:
-            return float(a)
+            return shots[a]
         if prev_val != 0.0 and np.sign(val) != np.sign(prev_val):
-            return _brent(lambda x: setup.endpoint(x, p, c_pow, c_f),
-                          prev_a, float(a), prev_val, val,
-                          1e-15 * max(1.0, float(a)))
-        prev_a, prev_val = float(a), val
+            b = _brent(endpoint, prev_a, a, prev_val, val,
+                       1e-15 * max(1.0, a))
+            return shots[b]
+        del shots[prev_a]
+        prev_a, prev_val = a, val
     raise ConvergenceError("no sign change in the shooting map over the bracket")
 
 
@@ -328,8 +380,7 @@ def shooting_solve(mesh: DomainMesh, p: float, c_pow: float = 1.0,
     midpoint.
     """
     setup = _ShootingSetup(mesh, f_fn)
-    a = _center_value(setup, p, c_pow, c_f)
-    prof, _ = setup.shoot(a, p, c_pow, c_f)
+    prof, _ = _center_value(setup, p, c_pow, c_f)
     return setup.to_grid(prof)
 
 
@@ -345,8 +396,7 @@ class HomogeneousProbe:
 def _homogeneous_probes(mesh: DomainMesh, p: float, alpha: float, bs) -> list:
     """homogeneous_shooting at each b in bs, from one shot of the base profile."""
     setup = _ShootingSetup(mesh, None)
-    a = _center_value(setup, p, 1.0, 0.0)
-    prof, dprof = setup.shoot(a, p, 1.0, 0.0)
+    prof, dprof = _center_value(setup, p, 1.0, 0.0)
     boundary_defect = abs(float(prof[-1]))
     G = setup.gradient_sq(dprof) ** alpha
     beta = 2.0 * alpha / (p - 1.0)
@@ -399,8 +449,7 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,
     for _ in range(max_outer):
         coeff = 1.0 + params.b * t
         c_pow, c_f = 1.0 / coeff, params.lam / coeff
-        a = _center_value(setup, params.p, c_pow, c_f)
-        prof, dprof = setup.shoot(a, params.p, c_pow, c_f)
+        prof, dprof = _center_value(setup, params.p, c_pow, c_f)
         F = setup.gradient_sq(dprof) ** params.alpha - t
         if abs(F) <= 1e-10 * max(1.0, t):
             return setup.to_grid(prof)

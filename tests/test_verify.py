@@ -215,6 +215,15 @@ def test_shooting_no_sign_change(interval):
                        f_fn=lambda x: -np.ones_like(x))
 
 
+def test_shooting_overflow_is_no_sign_change(interval):
+    # the endpoint grows without bound and (u+)^20 overflows a double on
+    # the upper rungs: the overflowing shot reads as a non-finite endpoint,
+    # which ends the ladder, not as an OverflowError
+    with pytest.raises(ConvergenceError, match="no sign change"):
+        shooting_solve(interval, p=20.0, c_pow=0.0, c_f=1.0,
+                       f_fn=lambda x: -np.ones_like(x))
+
+
 def test_shooting_rejects_rectangle():
     mesh = build_mesh("rectangle", (1.0, 1.0), 17)
     with pytest.raises(MeshError):
@@ -304,21 +313,57 @@ def test_brent_linear_torsion_map(ball):
     assert len(shots) <= 4
 
 
-def test_kirchhoff_shooting_shot_budget(ball, monkeypatch):
-    # four inner solves of ~26 shots each: ladder, Brent, and one shot
-    # of the profile at the center value found
-    shots = []
+@pytest.fixture
+def shots(monkeypatch):
+    """Center values of the RK4 shots the oracle takes, in order."""
+    centers = []
     rk4 = verify.rk4_radial
 
     def counted(*args):
-        shots.append(args[0])
+        centers.append(args[0])
         return rk4(*args)
 
     monkeypatch.setattr(verify, "rk4_radial", counted)
+    return centers
+
+
+def test_kirchhoff_shooting_shot_budget(ball, shots):
+    # four inner solves of about 6 shots each: a = 0, the floor rung, the
+    # ladder above it and Brent; the root's profile is kept, not shot again
     params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
     oracle = kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
-    assert 0 < len(shots) <= 200
+    assert 0 < len(shots) <= 24
     assert sup_norm(ball, oracle) > 0.0
+
+
+def test_homogeneous_shooting_shot_budget(shots):
+    # a = 0, the floor rung 4, rungs 8 and 16, then Brent inside [8, 16]
+    probe = homogeneous_shooting(build_mesh("interval", (1.0,), 129),
+                                 p=2.0, alpha=1.0, b=0.1)
+    assert probe.boundary_defect <= 1e-8
+    assert shots[:2] == [0.0, 4.0]
+    assert len(shots) <= 11
+
+
+@pytest.mark.parametrize("kind", ["interval", "ball"])
+def test_ladder_floor_skips_only_same_sign_rungs(kind):
+    # the comparison bounds behind the floor, checked rung by rung: every
+    # skipped rung has the sign of the floor rung the ladder starts from
+    mesh = build_mesh(kind, (1.0,), 129 if kind == "interval" else 65)
+    forced = verify._ShootingSetup(mesh, lambda x: np.ones_like(x))
+    unforced = verify._ShootingSetup(mesh, None)
+    for p in (1.5, 2.0, 4.0, 6.0):
+        for c_pow in (1.0, 1e-3):
+            for setup, c_f in ((forced, 1e-6), (forced, 1e-3), (forced, 10.0),
+                               (unforced, 0.0)):
+                e0 = setup.endpoint(0.0, p, c_pow, c_f)
+                k = verify._floor_rung(setup, p, c_pow, c_f, e0)
+                assert k >= 0
+                sign = np.sign(setup.endpoint(verify.LADDER[k], p, c_pow, c_f))
+                assert sign == (-1.0 if c_f > 0.0 else 1.0)
+                for a in verify.LADDER[:k]:
+                    assert np.sign(setup.endpoint(a, p, c_pow, c_f)) == sign, (
+                        p, c_pow, c_f, a)
 
 
 def test_kirchhoff_shooting_outer_cap(ball):
