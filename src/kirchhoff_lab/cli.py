@@ -169,7 +169,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"missing required key: {key}")
         if kind != "b0-scan" and "b" not in seen:
             raise ConfigError("missing required key: b")
-    if kind == "membership" and "f" not in seen:
+    if kind in ("membership", "threshold") and "f" not in seen:
         raise ConfigError("missing required key: f")
     if kind == "sweep" and "lambda-grid" not in seen:
         raise ConfigError("missing required key: lambda-grid")
@@ -208,7 +208,7 @@ def _solver_config(config: ExperimentConfig) -> SolverConfig:
                         seed=config.seed)
 
 
-def _params_of(config: ExperimentConfig, mesh, forcing, lam: float) -> ProblemParams:
+def _params_of(config: ExperimentConfig, forcing, lam: float) -> ProblemParams:
     f = forcing.field if (forcing is not None and lam > 0.0) else None
     return ProblemParams(b=config.b, alpha=config.alpha, p=config.p,
                          lam=lam, f=f)
@@ -330,7 +330,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         extra_files: dict[str, list[list[str]]] = {}
 
         if config.kind in ("solve", "verify"):
-            params = _params_of(config, mesh, forcing, config.lam)
+            params = _params_of(config, forcing, config.lam)
             regime = regime_letter(params, mesh.dim)
             outs = _solve_checks(lines, mesh, params, solver_cfg, regime)
             if config.kind == "verify":
@@ -339,7 +339,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             rows = [_point(config.lam, o, mesh) for o in outs]
 
         elif config.kind == "sweep":
-            params = _params_of(config, mesh, forcing, max(config.lam_grid))
+            params = _params_of(config, forcing, max(config.lam_grid))
             pts = sweep_lambda(mesh, params, list(config.lam_grid), solver_cfg)
             rows = pts
             for lam in config.lam_grid:
@@ -349,7 +349,9 @@ def run_experiment(config: ExperimentConfig) -> int:
                        f"{n_ok} converged positive rows")
 
         elif config.kind == "threshold":
-            params = _params_of(config, mesh, forcing, config.lam)
+            # every vote runs at a positive lambda, even with lambda unset
+            params = replace(_params_of(config, forcing, config.lam),
+                             f=forcing.field)
             est = estimate_Lambda_f(mesh, params, solver_cfg)
             ok = math.isfinite(est.upper) and est.ratio <= TARGET_RATIO
             detail = (f"[{_fmt(est.lower)}, {_fmt(est.upper)}], "

@@ -6,9 +6,9 @@ Three drivers:
   every distinct converged solution per grid point (plus one honest
   non-converged row when everything fails).
 * ``estimate_Lambda_f`` -- geometric bisection for the solvability
-  threshold in lambda.  "Solvable" is a vote (any solver battery member
-  converges to a strictly positive solution); "unsolvable" means the full
-  battery failed twice.  Nonexistence is never certified, only reported.
+  threshold in lambda.  "Solvable" is a vote (a solver reaches a strictly
+  positive solution); "unsolvable" means Picard, descent and two seeded
+  multi-starts all failed.  Nonexistence is never certified, only reported.
 * ``sweep_b_threshold`` -- the unforced problem over a b grid, decided
   twice per point: a grid search (semilinear base solution, scalar
   consistency root, Newton polish) and the independent shooting oracle.
@@ -27,6 +27,7 @@ from .scalar_reduction import consistency_root
 from .solvers import (
     SolveOutcome,
     SolverConfig,
+    battery,
     descent_minimize,
     distinct_positive,
     mountain_pass_search,
@@ -81,15 +82,13 @@ def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
     for lam in lam_grid:
         p_lam = replace(params, lam=lam)
         outcomes = [newton_nonlocal(mesh, p_lam, config, u0) for u0 in prev]
-        for solver in (descent_minimize, picard_iterate):
+        # descent before Picard: distinct_positive breaks exact energy ties
+        # by input order, so this order decides the solver cells
+        for solver in (descent_minimize, picard_iterate, mountain_pass_search):
             try:
                 outcomes.append(solver(mesh, p_lam, config))
             except KirchhoffLabError:
                 pass
-        try:
-            outcomes.append(mountain_pass_search(mesh, p_lam, config))
-        except KirchhoffLabError:
-            pass
         kept = distinct_positive(outcomes, config.tol)
         if kept:
             points.extend(_point(lam, o, mesh) for o in kept)
@@ -114,7 +113,7 @@ TARGET_RATIO = 1.1
 @dataclass(frozen=True)
 class ThresholdEstimate:
     lower: float  # largest lambda where a positive solution was found
-    upper: float  # smallest lambda where the battery failed twice (inf = open)
+    upper: float  # smallest lambda whose vote failed (inf = open)
     votes: tuple  # (lambda, solvable, detail) in probe order
     max_seminorm: float  # largest |grad u| seen among found solutions
     kirchhoff_multiplier: float  # (1 + b C^{2 alpha})^{p/(p-1)} at that C
@@ -125,32 +124,27 @@ class ThresholdEstimate:
 
 
 def _vote(mesh, params, config, warm):
-    """Best strictly positive converged outcome, or None after two sweeps."""
-    for attempt in range(2):
-        outcomes = []
-        if warm is not None and attempt == 0:
-            outcomes.append(newton_nonlocal(mesh, params, config, warm))
-        for solver in (picard_iterate, descent_minimize):
-            try:
-                outcomes.append(solver(mesh, params, config))
-            except KirchhoffLabError:
-                pass
-        kept = distinct_positive(outcomes, config.tol)
-        if kept:
-            return kept[0]
-        cfg = config if attempt == 0 else replace(config, seed=config.seed + 1)
-        sols = multi_start(mesh, params, cfg, 8)
-        if sols:
-            return sols[0]
-    return None
+    """Best strictly positive converged outcome, or None when Picard,
+    descent and two seeded multi-starts all failed.  Only the first
+    multi-start restarts Newton from the Picard and descent outputs:
+    Newton is deterministic, so a second restart would repeat it."""
+    outcomes = [] if warm is None else [newton_nonlocal(mesh, params, config, warm)]
+    tried = battery(mesh, params, config)
+    kept = distinct_positive(outcomes + tried, config.tol)
+    if kept:
+        return kept[0]
+    sols = multi_start(mesh, params, config, [o.solution for o in tried])
+    if not sols:
+        sols = multi_start(mesh, params, replace(config, seed=config.seed + 1), ())
+    return sols[0] if sols else None
 
 
 def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
                       config: SolverConfig, lam_max: float = 1e9) -> ThresholdEstimate:
     """Bracket the largest solvable lambda by geometric bisection.
 
-    Starts from params.lam (halving until a solvable point is found),
-    doubles until a point fails twice, then shrinks the bracket to
+    Starts from params.lam, or 1 when it is 0 (halving until a solvable
+    point is found), doubles until a vote fails, then shrinks the bracket to
     ``TARGET_RATIO``.  If nothing fails below ``lam_max`` the upper
     bracket is reported open (inf) rather than invented.
     """
@@ -158,6 +152,8 @@ def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
     if letter == "A":
         raise RegimeError("the threshold estimate applies above the coercive "
                           "regime; below it every lambda is solvable")
+    if params.f is None:
+        raise ValueError("the threshold estimate needs a forcing f")
     require_member(mesh, params.f)
     votes = []
     best_sem = 0.0

@@ -338,27 +338,32 @@ def l2_inner(mesh: DomainMesh, u, v) -> float:
 # spectral constants
 
 
-def principal_eigenpair(mesh: DomainMesh, tol: float = 1e-10, max_iter: int = 400):
+EIGEN_TOL = 1e-10  # principal_eigenpair stops at 0.01 * EIGEN_TOL relative change
+EIGEN_MAX_ITER = 400
+SOBOLEV_TOL = 1e-8  # sobolev_minimizer's weighted-l2 gradient norm target
+SOBOLEV_MAX_ITER = 200000
+
+
+def principal_eigenpair(mesh: DomainMesh):
     """First Dirichlet eigenvalue and a positive eigenfunction, sup norm 1.
 
     Inverse power iteration with Rayleigh-quotient estimates; the
-    eigenvalue converges at the square of the eigenvector rate.
+    eigenvalue converges at the square of the eigenvector rate.  Fixed
+    tolerance: successive estimates agree to 1e-12 relative, within 400 sweeps.
     """
     v = np.ones(mesh.shape)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(EIGEN_MAX_ITER):
         w = poisson_solve(mesh, v).values
         w /= np.max(np.abs(w))
         Lw = laplacian_apply(mesh, GridFunction(mesh, w)).values
         num = np.sum(mesh.weights * w * Lw)
         den = np.sum(mesh.weights * w * w)
         lam_new = num / den
-        if lam > 0.0 and abs(lam_new - lam) <= 0.01 * tol * lam_new:
-            lam = lam_new
-            v = w
+        settled = lam > 0.0 and abs(lam_new - lam) <= 0.01 * EIGEN_TOL * lam_new
+        lam, v = lam_new, w
+        if settled:
             break
-        lam = lam_new
-        v = w
     else:
         raise ConvergenceError("inverse power iteration did not settle")
     phi = v if v.flat[np.argmax(np.abs(v))] > 0 else -v
@@ -366,27 +371,23 @@ def principal_eigenpair(mesh: DomainMesh, tol: float = 1e-10, max_iter: int = 40
     return float(lam), GridFunction(mesh, phi)
 
 
-def sobolev_minimizer(mesh: DomainMesh, p: float, tol: float = 1e-8,
-                      max_iter: int = 200000, initial: GridFunction | None = None):
+def sobolev_minimizer(mesh: DomainMesh, p: float):
     """Minimize the embedding quotient |grad u|_2^2 / |u|_{p+1}^2.
 
     Returns ``(S, u)`` with u normalized to unit L^{p+1} norm, satisfying
     the stationarity equation (-lap u) = S |u|^{p-1} u to a weighted-l2
-    gradient norm of ``tol``.  Normalized inverse iteration: each sweep
-    solves the Poisson problem with |u|^{p-1} u on the right and rescales.
+    gradient norm of 1e-8 * max(1, S), within 200000 sweeps.  Normalized
+    inverse iteration from phi1: each sweep solves the Poisson problem
+    with |u|^{p-1} u on the right and rescales.
     The discrete quotient is mesh-dependent; downstream constants use the
     mesh value everywhere.
     """
     if not p >= 1:
         raise ValueError(f"embedding exponent must satisfy p >= 1, got {p}")
-    if initial is None:
-        _, phi = principal_eigenpair(mesh)
-        u = phi.values.copy()
-    else:
-        u = _values(mesh, initial).copy()
-    u = u / lp_norm(mesh, u, p + 1.0)
+    _, phi = principal_eigenpair(mesh)
+    u = phi.values / lp_norm(mesh, phi, p + 1.0)
     S = float(l2_inner(mesh, u, laplacian_apply(mesh, GridFunction(mesh, u))))
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, SOBOLEV_MAX_ITER + 1):
         rhs = np.abs(u) ** (p - 1.0) * u
         w = poisson_solve(mesh, rhs).values
         # a runaway iterate overflows |w|^{p+1} inside the norm first; the
@@ -401,15 +402,14 @@ def sobolev_minimizer(mesh: DomainMesh, p: float, tol: float = 1e-8,
         S = float(np.sum(mesh.weights * u * Lu))
         grad = 2.0 * (Lu - S * np.abs(u) ** (p - 1.0) * u)
         gnorm = np.sqrt(np.sum(mesh.weights * grad * grad))
-        if gnorm <= tol * max(1.0, S):
+        if gnorm <= SOBOLEV_TOL * max(1.0, S):
             return S, GridFunction(mesh, u)
     raise ConvergenceError(
         f"embedding-quotient iteration stalled (gradient norm {gnorm:.3e})"
     )
 
 
-def sobolev_constant(mesh: DomainMesh, p: float, tol: float = 1e-8,
-                     initial: GridFunction | None = None) -> float:
+def sobolev_constant(mesh: DomainMesh, p: float) -> float:
     """Discrete best constant of the H1_0 -> L^{p+1} embedding quotient."""
-    S, _ = sobolev_minimizer(mesh, p, tol=tol, initial=initial)
+    S, _ = sobolev_minimizer(mesh, p)
     return S

@@ -14,8 +14,6 @@ For the unforced problem the same reduction gives the consistency
 equation (1 + b t)^beta G = t, solved by ``consistency_root``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ConvergenceError
@@ -23,49 +21,39 @@ from .mesh import DomainMesh, GridFunction, h1_seminorm
 from .problem import ProblemParams, require_member
 
 
-@dataclass(frozen=True)
-class RootProblem:
-    b: float
-    alpha: float
-    c: float
-
-    def __post_init__(self):
-        if not self.b > 0 or not self.alpha > 0:
-            raise ValueError("root problem needs b > 0 and alpha > 0")
-        if self.c < 0:
-            raise ValueError(f"right-hand side c must be >= 0, got {self.c}")
-
-    def h(self, y: float) -> float:
-        return self.b * y ** (self.alpha + 0.5) + np.sqrt(y) - self.c
-
-
-def solve_h_root(b: float, alpha: float, c: float, tol: float | None = None) -> float:
+def solve_h_root(b: float, alpha: float, c: float) -> float:
     """Unique nonnegative root of b y^{alpha+1/2} + y^{1/2} = c.
 
     h is strictly increasing with h(0) = -c <= 0 and h -> +inf, so a
     bracketed bisection/Newton hybrid cannot miss.  Residual target
     |h(y)| <= 1e-13 * max(1, c).
     """
-    prob = RootProblem(b, alpha, c)
+    if not b > 0 or not alpha > 0:
+        raise ValueError("root problem needs b > 0 and alpha > 0")
+    if c < 0:
+        raise ValueError(f"right-hand side c must be >= 0, got {c}")
     if c == 0.0:
         return 0.0
-    if tol is None:
-        tol = 1e-13 * max(1.0, c)
+
+    def h(y):
+        return b * y ** (alpha + 0.5) + np.sqrt(y) - c
+
+    tol = 1e-13 * max(1.0, c)
     # bracket: y^{1/2} >= c or b y^{alpha+1/2} >= c each force h >= 0
     hi = max(c * c, (c / b) ** (1.0 / (alpha + 0.5)))
-    while prob.h(hi) < 0.0:  # guard against rounding at the corner
+    while h(hi) < 0.0:  # guard against rounding at the corner
         hi *= 2.0
     lo = 0.0
     y = hi
     for _ in range(200):
-        val = prob.h(y)
+        val = h(y)
         if abs(val) <= tol:
             return float(y)
         if val > 0.0:
             hi = y
         else:
             lo = y
-        dval = prob.b * (prob.alpha + 0.5) * y ** (prob.alpha - 0.5) + 0.5 / np.sqrt(y)
+        dval = b * (alpha + 0.5) * y ** (alpha - 0.5) + 0.5 / np.sqrt(y)
         step = y - val / dval
         y = step if lo < step < hi else 0.5 * (lo + hi)
     raise ConvergenceError(f"scalar root stalled at residual {val:.3e}")

@@ -22,9 +22,9 @@ Four procedures, matched to the exponent regimes:
   negative-energy endpoint t0*phi1: repeatedly pull the highest node
   downhill and re-spline, then polish the saddle candidate with Newton.
 
-``multi_start`` drives Newton from seeded random positive fields plus the
-Picard/descent outputs and deduplicates, which is how uniqueness and
-nonexistence get probed.
+``battery`` runs Picard and descent; ``multi_start`` drives Newton from
+the fields its caller passes plus seeded random positive fields and
+deduplicates, which is how uniqueness and nonexistence get probed.
 """
 
 from dataclasses import dataclass, replace
@@ -57,6 +57,7 @@ from .scalar_reduction import kirchhoff_linear_solve, picard_rescale
 PATH_NODES = 17  # mountain-pass path resolution
 SWEEP_CAP = 6000  # relaxation sweeps before the top node is returned
 DAMPING_FLOOR = 2.0**-10  # smallest Newton step fraction tried (11 trials)
+MULTI_STARTS = 8  # seeded random Newton starts per multi_start call
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,8 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -606,18 +609,30 @@ def distinct_positive(outcomes, tol: float) -> list[SolveOutcome]:
     return kept
 
 
+def battery(mesh: DomainMesh, params: ProblemParams,
+            config: SolverConfig) -> list[SolveOutcome]:
+    """Outcomes of ``picard_iterate`` and ``descent_minimize``, in that
+    order; a solver that raises ``KirchhoffLabError`` is skipped."""
+    outcomes = []
+    for solver_fn in (picard_iterate, descent_minimize):
+        try:
+            outcomes.append(solver_fn(mesh, params, config))
+        except KirchhoffLabError:
+            pass
+    return outcomes
+
+
 def multi_start(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
-                n_starts: int) -> list[SolveOutcome]:
+                priors) -> list[SolveOutcome]:
     """Distinct converged positive solutions from seeded Newton starts.
 
-    Initial fields are c1*phi1 + c2*torsion with both coefficients drawn
-    from (0, 2 sup psi0] (barrier scale when available, torsion scale
-    grown with lambda otherwise), plus the Picard and descent outputs.
-    Deduplication is by sup distance at 10*tol, keeping the lower-energy
-    representative; the result is sorted by energy.
+    Newton starts from each field in ``priors``, in order, then from
+    ``MULTI_STARTS`` fields c1*phi1 + c2*torsion with both coefficients
+    drawn from (0, 2 sup psi0] (barrier scale when available, torsion
+    scale grown with lambda otherwise).  Deduplication is by sup distance
+    at 10*tol, keeping the lower-energy representative; the result is
+    sorted by energy.
     """
-    if n_starts < 2:
-        raise ValueError("multi_start needs at least 2 starts")
     rng = np.random.default_rng(config.seed)
     _, phi1 = constants.eigenpair(mesh)
     psi = constants.torsion(mesh)
@@ -625,18 +640,8 @@ def multi_start(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
         cap = 2.0 * sup_norm(mesh, build_barrier(mesh, params).psi0)
     except BarrierError:
         cap = 2.0 * sup_norm(mesh, psi) * (1.0 + params.lam)
-    coeffs = rng.uniform(0.0, cap, size=(n_starts, 2))
-
-    initials = []
-    for solver_fn in (picard_iterate, descent_minimize):
-        try:
-            prior = solver_fn(mesh, params, config)
-            initials.append(prior.solution)
-        except KirchhoffLabError:
-            pass
-    initials.extend(
-        GridFunction(mesh, c1 * phi1.values + c2 * psi.values) for c1, c2 in coeffs
-    )
-
+    coeffs = rng.uniform(0.0, cap, size=(MULTI_STARTS, 2))
+    initials = list(priors) + [
+        GridFunction(mesh, c1 * phi1.values + c2 * psi.values) for c1, c2 in coeffs]
     outcomes = [newton_nonlocal(mesh, params, config, init) for init in initials]
     return distinct_positive(outcomes, config.tol)

@@ -27,6 +27,7 @@ Everything here deliberately avoids the solver machinery it certifies:
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,7 +49,8 @@ from .scalar_reduction import (
     kirchhoff_linear_solve,
     rescale_to_semilinear,
 )
-from .solvers import SolverConfig, descent_minimize, multi_start, newton_nonlocal
+from .solvers import (SolverConfig, battery, descent_minimize, multi_start,
+                      newton_nonlocal)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +483,7 @@ def uniqueness_probe(mesh: DomainMesh, params: ProblemParams, lams,
                      config: SolverConfig) -> list:
     """Distinct-solution count per lambda plus the contraction quantity.
 
+    Counts come from ``multi_start`` seeded with the ``battery`` outputs.
     The quantity C2 + |grad v| C1 with C1 = 2 alpha b (2|grad v|)^{2a-1},
     C2 = (p/lambda_1)(2 sup v)^{p-1} bounds the energy-difference of two
     hypothetical solutions; below 1 it certifies at-most-one.  Counts are
@@ -491,7 +494,9 @@ def uniqueness_probe(mesh: DomainMesh, params: ProblemParams, lams,
     lam1, _ = constants.eigenpair(mesh)
     out = []
     for lam in lams:
-        sols = multi_start(mesh, replace(params, lam=float(lam)), config, 8)
+        p_lam = replace(params, lam=float(lam))
+        sols = multi_start(mesh, p_lam, config,
+                           [o.solution for o in battery(mesh, p_lam, config)])
         if sols:
             u = sols[0]
             sem = u.seminorm
@@ -513,8 +518,8 @@ class DecayReport:
     final_over_first: float
     monotone_ok: bool  # nonincreasing up to the slack factor
     limit_gap: float  # sup|u/lambda - poisson witness| / sup|witness|
-    decay_threshold: float = 0.05  # calibration constants, echoed in reports
-    monotone_slack: float = 0.10
+    decay_threshold: ClassVar[float] = 0.05  # calibration constants
+    monotone_slack: ClassVar[float] = 0.10
 
     @property
     def decay_ok(self) -> bool:

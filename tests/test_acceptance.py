@@ -24,7 +24,7 @@ from kirchhoff_lab.mesh import (GridFunction, build_mesh, h1_seminorm,
 from kirchhoff_lab.problem import ProblemParams, compute_b0
 from kirchhoff_lab.scalar_reduction import (kirchhoff_linear_solve,
                                             rescale_to_semilinear)
-from kirchhoff_lab.solvers import (SolverConfig, build_barrier,
+from kirchhoff_lab.solvers import (SolverConfig, battery, build_barrier,
                                    descent_minimize, mountain_pass_search,
                                    multi_start, picard_iterate)
 from kirchhoff_lab.verify import (kirchhoff_shooting, pohozaev_residual,
@@ -160,8 +160,9 @@ def test_multiplicity_and_solvability_bracket():
     leftovers = 0
     for seed in (42, 43):
         above = replace(params, lam=1.05 * est.upper)
-        leftovers += len(multi_start(mesh, above,
-                                     SolverConfig(tol=1e-4, seed=seed), 8))
+        cfg = SolverConfig(tol=1e-4, seed=seed)
+        priors = [o.solution for o in battery(mesh, above, cfg)]
+        leftovers += len(multi_start(mesh, above, cfg, priors))
     elapsed = time.perf_counter() - t0
     ok = pair_ok and bracket_ok and leftovers == 0 and elapsed < 600.0
     _gate("multiplicity-bracket", ok,

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from kirchhoff_lab import constants, solvers
+from kirchhoff_lab import cli, constants, solvers
 from kirchhoff_lab.cli import main, parse_config, run_experiment
+from kirchhoff_lab.continuation import ThresholdEstimate
 from kirchhoff_lab.exceptions import ConfigError
 from kirchhoff_lab.mesh import build_mesh
 from kirchhoff_lab.problem import ProblemParams, compute_b0
@@ -208,6 +209,45 @@ def test_run_threshold_refuses_regime_a(tmp_path, capsys):
     code, _ = run_cfg(tmp_path, text)
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+THRESHOLD_B = ("kind = threshold\np = 4\nalpha = 1\nb = 1\ntol = 1e-4\n"
+               "domain = ball 1.0 33\n")
+
+
+def test_run_threshold_without_lambda_keeps_forcing(tmp_path, monkeypatch):
+    # no lambda: the bracket starts at 1, which needs the forcing
+    seen = []
+
+    def fake(mesh, params, config):
+        seen.append(params)
+        return ThresholdEstimate(1.0, 1.05, ((1.0, True, "picard"),), 0.1, 1.0)
+
+    monkeypatch.setattr(cli, "estimate_Lambda_f", fake)
+    code, out = run_cfg(tmp_path, THRESHOLD_B + "f = constant 1.0\n")
+    assert code == 0
+    params, = seen
+    assert params.lam == 0.0 and params.f is not None
+    assert (out / "votes.csv").read_text().splitlines()[1] == "1,true,picard"
+
+
+def test_run_threshold_needs_forcing(tmp_path, capsys):
+    code, _ = run_cfg(tmp_path, THRESHOLD_B)
+    assert code == 2
+    assert "missing required key: f" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solver ran before the seed was checked")
+
+    monkeypatch.setattr(cli, "descent_minimize", no_solve)
+    text = (SOLVE_A.replace("kind = solve", "kind = verify")
+            .replace("lambda = 0.5", "lambda = 1")
+            .replace("interval 1.0 65", "interval 1.0 129") + "seed = -1\n")
+    code, _ = run_cfg(tmp_path, text)
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_subcommand_overrides_kind(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kirchhoff_lab import constants
+from kirchhoff_lab import constants, continuation, solvers
 from kirchhoff_lab.exceptions import RegimeError
 from kirchhoff_lab.forcing import make_forcing
 from kirchhoff_lab.mesh import build_mesh
@@ -76,6 +76,34 @@ def test_estimate_refuses_coercive_regime(interval):
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.1, f=const_one(interval))
     with pytest.raises(RegimeError):
         estimate_Lambda_f(interval, params, SolverConfig())
+
+
+def test_estimate_needs_forcing(ball):
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.0)
+    with pytest.raises(ValueError, match="forcing"):
+        estimate_Lambda_f(ball, params, SolverConfig(tol=1e-4))
+
+
+def test_failing_vote_runs_each_solver_once(monkeypatch):
+    # far above the bracket every start fails; Picard and descent are
+    # deterministic, so one run each is all the vote may spend
+    mesh = build_mesh("ball", 1.0, 33)
+    calls = {"picard": 0, "descent": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    picard = counted("picard", solvers.picard_iterate)
+    descent = counted("descent", solvers.descent_minimize)
+    for module in (solvers, continuation):
+        monkeypatch.setattr(module, "picard_iterate", picard)
+        monkeypatch.setattr(module, "descent_minimize", descent)
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1e8, f=const_one(mesh))
+    assert continuation._vote(mesh, params, SolverConfig(tol=1e-4), None) is None
+    assert calls == {"picard": 1, "descent": 1}
 
 
 def test_estimate_lambda_bracket(ball):

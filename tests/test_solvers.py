@@ -31,6 +31,7 @@ from kirchhoff_lab.problem import ProblemParams, classify_regime, energy_lower_b
 from kirchhoff_lab.scalar_reduction import kirchhoff_linear_solve
 from kirchhoff_lab.solvers import (
     SolverConfig,
+    battery,
     build_barrier,
     descent_minimize,
     mountain_pass_geometry,
@@ -466,7 +467,9 @@ def test_multi_start_unique_at_small_lambda_above_b0(interval):
     info = classify_regime(ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.0), 1, S)
     params = ProblemParams(b=2.0 * info.b0, alpha=1.0, p=2.0, lam=1e-3,
                            f=const_one(interval))
-    sols = multi_start(interval, params, SolverConfig(), 8)
+    cfg = SolverConfig()
+    priors = [o.solution for o in battery(interval, params, cfg)]
+    sols = multi_start(interval, params, cfg, priors)
     assert len(sols) == 1
     assert sols[0].converged
     assert sols[0].positivity == "strictly-positive"
@@ -475,7 +478,8 @@ def test_multi_start_unique_at_small_lambda_above_b0(interval):
 def test_multi_start_list_contract(interval):
     cfg = SolverConfig()
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
-    sols = multi_start(interval, params, cfg, 6)
+    priors = [o.solution for o in battery(interval, params, cfg)]
+    sols = multi_start(interval, params, cfg, priors)
     assert len(sols) >= 1
     energies = [s.energy.total for s in sols]
     assert energies == sorted(energies)
@@ -484,12 +488,6 @@ def test_multi_start_list_contract(interval):
     for i, a in enumerate(sols):
         for b in sols[i + 1:]:
             assert sup_norm(interval, a.solution - b.solution) > 10.0 * cfg.tol
-
-
-def test_multi_start_needs_two_starts(interval):
-    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
-    with pytest.raises(ValueError):
-        multi_start(interval, params, SolverConfig(), 1)
 
 
 def test_newton_rejects_transposed_start():
