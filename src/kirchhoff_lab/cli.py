@@ -284,7 +284,7 @@ def _verify_checks(lines, mesh, params, config, regime, forcing, outs):
                        f"{outs[0].energy.total:.3e} / {mp.energy.total:.3e}")
         except KirchhoffLabError as exc:
             _check(lines, "mountain-pass", False, str(exc))
-    if params.lam == 0.0 or (forcing is not None and forcing.grad is not None):
+    if params.lam == 0.0 or (forcing is not None and forcing.fn is not None):
         v, eff_lam = rescale_to_semilinear(mesh, params, u)
         if params.lam > 0.0:
             fvals = eff_lam * params.f.values

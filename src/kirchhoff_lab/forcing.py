@@ -1,9 +1,12 @@
 """Builtin forcing profiles.
 
 Each builder returns a :class:`Forcing` bundling the nodal field with the
-underlying coordinate callable and its spatial derivative.  The callable
-form is what the shooting integrator samples between nodes, and the
-derivative feeds the x.grad(f) term of the scaling identity check.
+underlying coordinate callable: ``fn(x)`` on an interval, ``fn(x, y)`` on
+a rectangle, ``fn(r)`` on a ball.  The callable form is what the shooting
+integrator samples between nodes, and the x.grad(f) term of the scaling
+identity check is derived from it by a complex step
+(``verify.xdot_grad_values``), so every callable must accept complex
+coordinates and keep their imaginary part.
 
 Builtins:
 
@@ -15,6 +18,7 @@ Builtins:
 * ``file PATH``              -- whitespace-separated nodal values
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,34 +32,17 @@ class Forcing:
     name: str
     field: GridFunction
     fn: object | None = None  # callable in mesh coordinates, None for file data
-    grad: object | None = None  # f'(x) / (f_x, f_y) / f'(r) as matching callable
-
-
-def _origin(mesh: DomainMesh):
-    if mesh.kind == "interval":
-        return (-0.5 * mesh.extents[0],) if mesh.centered else (0.0,)
-    if mesh.kind == "rectangle":
-        if mesh.centered:
-            return (-0.5 * mesh.extents[0], -0.5 * mesh.extents[1])
-        return (0.0, 0.0)
-    return (0.0,)
 
 
 def constant_forcing(mesh: DomainMesh, value: float = 1.0) -> Forcing:
     value = float(value)
-    if mesh.kind == "rectangle":
-        fn = lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
-        grad = lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2
-    else:
-        fn = lambda x: np.full_like(np.asarray(x, dtype=float), value)
-        grad = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return Forcing(f"constant {value:g}", mesh.field_from_callable(fn), fn, grad)
+    fn = lambda *xs: value + 0.0 * xs[0]
+    return Forcing(f"constant {value:g}", mesh.field_from_callable(fn), fn)
 
 
 def _mode_profile(x, a):
     """sin(a x)/(a x) with the removable singularity filled in."""
-    x = np.asarray(x, dtype=float)
-    ax = a * x
+    ax = a * np.asarray(x)
     out = np.empty_like(ax)
     small = np.abs(ax) < 1e-6
     out[~small] = np.sin(ax[~small]) / ax[~small]
@@ -63,75 +50,37 @@ def _mode_profile(x, a):
     return out
 
 
-def _mode_profile_deriv(r, a):
-    r = np.asarray(r, dtype=float)
-    ar = a * r
-    out = np.empty_like(ar)
-    small = np.abs(ar) < 1e-6
-    rs = r[~small]
-    out[~small] = (ar[~small] * np.cos(ar[~small]) - np.sin(ar[~small])) / (a * rs**2)
-    out[small] = -(a**2) * r[small] / 3.0
-    return out
-
-
 def eigenmode_forcing(mesh: DomainMesh, amp: float = 1.0) -> Forcing:
     amp = float(amp)
-    if mesh.kind == "interval":
-        L = mesh.extents[0]
-        (x0,) = _origin(mesh)
-        k = np.pi / L
-        fn = lambda x: amp * np.sin(k * (x - x0))
-        grad = lambda x: amp * k * np.cos(k * (x - x0))
-    elif mesh.kind == "rectangle":
-        Lx, Ly = mesh.extents
-        x0, y0 = _origin(mesh)
-        kx, ky = np.pi / Lx, np.pi / Ly
-        fn = lambda x, y: amp * np.sin(kx * (x - x0)) * np.sin(ky * (y - y0))
-        grad = lambda x, y: (
-            amp * kx * np.cos(kx * (x - x0)) * np.sin(ky * (y - y0)),
-            amp * ky * np.sin(kx * (x - x0)) * np.cos(ky * (y - y0)),
-        )
-    else:
-        R = mesh.extents[0]
-        a = np.pi / R
+    if mesh.kind == "ball":
+        a = np.pi / mesh.extents[0]
         fn = lambda r: amp * _mode_profile(r, a)
-        grad = lambda r: amp * _mode_profile_deriv(r, a)
-    return Forcing("eigenmode", mesh.field_from_callable(fn), fn, grad)
+    else:
+        fn = lambda *xs: math.prod(
+            (np.sin(np.pi / L * (x - o))
+             for x, o, L in zip(xs, mesh.origin, mesh.extents)), start=amp)
+    return Forcing("eigenmode", mesh.field_from_callable(fn), fn)
 
 
 def quartic_forcing(mesh: DomainMesh) -> Forcing:
     """Sign-changing forcing with the quartic bump as Poisson witness."""
-    if mesh.kind == "interval":
-        L = mesh.extents[0]
-        (x0,) = _origin(mesh)
-        fn = lambda x: -2.0 * L**2 + 12.0 * L * (x - x0) - 12.0 * (x - x0) ** 2
-        grad = lambda x: 12.0 * L - 24.0 * (x - x0)
-    elif mesh.kind == "rectangle":
-        Lx, Ly = mesh.extents
-        x0, y0 = _origin(mesh)
-
-        def w(s, L):
-            return (s * (L - s)) ** 2
-
-        def wp(s, L):
-            return 2.0 * s * (L - s) * (L - 2.0 * s)
-
-        def q(s, L):
-            return -2.0 * L**2 + 12.0 * L * s - 12.0 * s**2
-
-        def qp(s, L):
-            return 12.0 * L - 24.0 * s
-
-        fn = lambda x, y: q(x - x0, Lx) * w(y - y0, Ly) + w(x - x0, Lx) * q(y - y0, Ly)
-        grad = lambda x, y: (
-            qp(x - x0, Lx) * w(y - y0, Ly) + wp(x - x0, Lx) * q(y - y0, Ly),
-            q(x - x0, Lx) * wp(y - y0, Ly) + w(x - x0, Lx) * qp(y - y0, Ly),
-        )
-    else:
+    if mesh.kind == "ball":
         R = mesh.extents[0]
         fn = lambda r: 12.0 * R**2 - 20.0 * r**2
-        grad = lambda r: -40.0 * r
-    return Forcing("quartic-signchanging", mesh.field_from_callable(fn), fn, grad)
+        return Forcing("quartic-signchanging", mesh.field_from_callable(fn), fn)
+
+    def w(s, L):
+        return (s * (L - s)) ** 2
+
+    def q(s, L):  # -w''
+        return -2.0 * L**2 + 12.0 * L * s - 12.0 * s**2
+
+    def fn(*xs):  # sum over axes i of q(s_i) * prod_{j != i} w(s_j)
+        s = [x - o for x, o in zip(xs, mesh.origin)]
+        return sum(math.prod((q if j == i else w)(sj, L)
+                             for j, (sj, L) in enumerate(zip(s, mesh.extents)))
+                   for i in range(len(s)))
+    return Forcing("quartic-signchanging", mesh.field_from_callable(fn), fn)
 
 
 def file_forcing(mesh: DomainMesh, path: str) -> Forcing:

@@ -8,6 +8,11 @@ Supported geometries:
   at r_j = j*h including the origin, with the symmetry condition u'(0)=0
   folded into the origin row of the operator.
 
+Outside the stencils the interval and the rectangle are one box
+geometry: the box with lower corner ``origin`` and side lengths
+``extents``.  ``nodes`` gives the interior coordinates as one array per
+axis, broadcast to the field shape (the radius r for a ball).
+
 Grid functions store interior nodal values only; the zero boundary value
 is implicit.  The minus-Laplacian uses second-order central differences.
 In the radial case the operator is u'' + ((N-1)/r) u' with the origin row
@@ -41,6 +46,11 @@ class DomainMesh:
     Identity semantics: two meshes are interchangeable only if they are
     the same object, which keeps grid functions unambiguous and lets
     downstream caches key on the mesh itself.
+
+    An interval or rectangle is the box ``origin + [0, extents]``; a ball
+    has radius ``extents[0]`` and origin (0.0,).  ``nodes`` holds the
+    interior coordinates per axis at full field shape, the arguments a
+    coordinate callable ``fn(*nodes)`` receives.
     """
 
     kind: str
@@ -48,14 +58,13 @@ class DomainMesh:
     h: float
     spacing: tuple  # per axis: (hx, hy) for a rectangle, (h,) otherwise
     extents: tuple
+    origin: tuple  # lower box corner, (x0,) or (x0, y0); (0.0,) for a ball
     shape: tuple  # interior node count per axis
     coords: tuple  # interior coordinate arrays, one per axis (r for ball)
     weights: np.ndarray  # quadrature weights, same shape as nodal values
     # tridiagonal minus-Laplacian rows (interval/ball), None for rectangle
     stencil: tuple | None = field(default=None, repr=False)
     face_weights: tuple | None = field(default=None, repr=False)
-    centered: bool = False
-    symmetry_origin: bool = False
 
     @property
     def ndof(self) -> int:
@@ -67,16 +76,15 @@ class DomainMesh:
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.shape))
 
+    @property
+    def nodes(self) -> tuple:
+        """Interior coordinates per axis, each of the field's shape."""
+        return tuple(np.meshgrid(*self.coords, indexing="ij"))
+
     def field_from_callable(self, fn) -> "GridFunction":
-        """Sample a coordinate callable at the interior nodes."""
-        if self.kind == "rectangle":
-            x, y = np.meshgrid(self.coords[0], self.coords[1], indexing="ij")
-            vals = np.asarray(fn(x, y), dtype=float)
-            vals = np.broadcast_to(vals, self.shape).copy()
-        else:
-            vals = np.asarray(fn(self.coords[0]), dtype=float)
-            vals = np.broadcast_to(vals, self.shape).copy()
-        return GridFunction(self, vals)
+        """Sample a coordinate callable ``fn(*nodes)`` at the interior nodes."""
+        vals = np.asarray(fn(*self.nodes), dtype=float)
+        return GridFunction(self, np.broadcast_to(vals, self.shape).copy())
 
 
 class GridFunction:
@@ -95,9 +103,6 @@ class GridFunction:
         self.mesh = mesh
         self.values = values
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.mesh, self.values.copy())
-
     def __add__(self, other):
         _same_mesh(self, other)
         return GridFunction(self.mesh, self.values + other.values)
@@ -110,9 +115,6 @@ class GridFunction:
         return GridFunction(self.mesh, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.mesh, -self.values)
 
 
 def _same_mesh(u: GridFunction, v: GridFunction):
@@ -156,8 +158,8 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         sup = np.full(m, -inv_h2)
         face_w = np.full(m + 1, 1.0 / h)
         return DomainMesh(
-            kind, 1, h, (h,), (L,), (m,), (xs,), weights,
-            stencil=(sub, diag, sup), face_weights=(face_w,), centered=centered,
+            kind, 1, h, (h,), (L,), (x0,), (m,), (xs,), weights,
+            stencil=(sub, diag, sup), face_weights=(face_w,),
         )
 
     if kind == "rectangle":
@@ -180,8 +182,8 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         shape = (nx - 2, ny - 2)
         weights = np.full(shape, hx * hy)
         return DomainMesh(
-            kind, 2, max(hx, hy), (hx, hy), (Lx, Ly), shape, (xs, ys), weights,
-            centered=centered,
+            kind, 2, max(hx, hy), (hx, hy), (Lx, Ly), (x0, y0), shape, (xs, ys),
+            weights,
         )
 
     if kind == "ball":
@@ -205,9 +207,8 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         r_faces = h * np.arange(m + 1)  # r at nodes 0..m, r_m = R
         face_w = (_OMEGA3 / h) * r_faces[:-1] * r_faces[1:]
         return DomainMesh(
-            kind, 3, h, (h,), (R,), (m,), (r,), weights,
+            kind, 3, h, (h,), (R,), (0.0,), (m,), (r,), weights,
             stencil=(sub, diag, sup), face_weights=(face_w,),
-            symmetry_origin=True,
         )
 
     raise MeshError(f"unsupported mesh kind {kind!r}")

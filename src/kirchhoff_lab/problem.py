@@ -162,19 +162,10 @@ def require_member(mesh: DomainMesh, f) -> GridFunction:
 
 def boundary_distance(mesh: DomainMesh) -> np.ndarray:
     """Distance from each interior node to the domain boundary."""
-    if mesh.kind == "interval":
-        L = mesh.extents[0]
-        x = mesh.coords[0]
-        lo = -0.5 * L if mesh.centered else 0.0
-        return np.minimum(x - lo, lo + L - x)
-    if mesh.kind == "rectangle":
-        Lx, Ly = mesh.extents
-        x0 = -0.5 * Lx if mesh.centered else 0.0
-        y0 = -0.5 * Ly if mesh.centered else 0.0
-        x, y = np.meshgrid(mesh.coords[0], mesh.coords[1], indexing="ij")
-        return np.minimum.reduce([x - x0, x0 + Lx - x, y - y0, y0 + Ly - y])
-    R = mesh.extents[0]
-    return R - mesh.coords[0]
+    if mesh.kind == "ball":
+        return mesh.extents[0] - mesh.coords[0]
+    return np.minimum.reduce([d for x, o, L in zip(mesh.nodes, mesh.origin, mesh.extents)
+                              for d in (x - o, o + L - x)])
 
 
 def membership_Fplus(mesh: DomainMesh, f, layer: float) -> MembershipReport:

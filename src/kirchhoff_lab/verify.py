@@ -68,36 +68,22 @@ class PohozaevReport:
 
 def _boundary_flux(mesh: DomainMesh, v: np.ndarray) -> float:
     """int over the boundary of (x . nu) (dw/dnu)^2, one-sided 2nd order."""
-    if mesh.kind == "interval":
-        h = mesh.h
-        x_l = mesh.coords[0][0] - h
-        x_r = mesh.coords[0][-1] + h
-        dn_l = (4.0 * v[0] - v[1]) / (2.0 * h)
-        dn_r = (-4.0 * v[-1] + v[-2]) / (2.0 * h)
-        return (-x_l) * dn_l**2 + x_r * dn_r**2
-    if mesh.kind == "rectangle":
-        hx, hy = mesh.spacing
-        x_l = mesh.coords[0][0] - hx
-        x_r = mesh.coords[0][-1] + hx
-        y_b = mesh.coords[1][0] - hy
-        y_t = mesh.coords[1][-1] + hy
-        # the integrand vanishes at corners (w = 0 along each edge), so the
-        # interior-node sums are exact trapezoid rules over each face
-        dn = (4.0 * v[0, :] - v[1, :]) / (2.0 * hx)
-        total = (-x_l) * float(np.sum(dn**2)) * hy
-        dn = (-4.0 * v[-1, :] + v[-2, :]) / (2.0 * hx)
-        total += x_r * float(np.sum(dn**2)) * hy
-        dn = (4.0 * v[:, 0] - v[:, 1]) / (2.0 * hy)
-        total += (-y_b) * float(np.sum(dn**2)) * hx
-        dn = (-4.0 * v[:, -1] + v[:, -2]) / (2.0 * hy)
-        total += y_t * float(np.sum(dn**2)) * hx
-        return total
     if mesh.kind == "ball":
-        h = mesh.h
         R = mesh.extents[0]
-        dn = (-4.0 * v[-1] + v[-2]) / (2.0 * h)
+        dn = (-4.0 * v[-1] + v[-2]) / (2.0 * mesh.h)
         return 4.0 * np.pi * R**3 * dn**2
-    raise MeshError(f"unsupported mesh kind {mesh.kind!r}")
+    # box faces at x_i = o_i (x . nu = -o_i) and x_i = o_i + L_i; the
+    # integrand vanishes at corners (w = 0 along each edge), so the
+    # interior-node sums are exact trapezoid rules over each face
+    total = 0.0
+    for axis, (o, L, h) in enumerate(zip(mesh.origin, mesh.extents, mesh.spacing)):
+        face = math.prod(s for k, s in enumerate(mesh.spacing) if k != axis)
+        w = np.moveaxis(v, axis, 0)
+        dn = (4.0 * w[0] - w[1]) / (2.0 * h)
+        total += (-o) * float(np.sum(dn**2)) * face
+        dn = (-4.0 * w[-1] + w[-2]) / (2.0 * h)
+        total += (o + L) * float(np.sum(dn**2)) * face
+    return total
 
 
 def pohozaev_residual(mesh: DomainMesh, w, p: float, c_pow: float = 1.0,
@@ -136,15 +122,17 @@ def pohozaev_residual(mesh: DomainMesh, w, p: float, c_pow: float = 1.0,
 
 
 def xdot_grad_values(mesh: DomainMesh, forcing) -> np.ndarray:
-    """Nodal x . grad(f) from a Forcing's analytic derivative."""
-    if forcing.grad is None:
-        raise ValueError(f"forcing {forcing.name!r} carries no gradient data")
-    if mesh.kind == "rectangle":
-        X, Y = np.meshgrid(mesh.coords[0], mesh.coords[1], indexing="ij")
-        gx, gy = forcing.grad(X, Y)
-        return X * gx + Y * gy
-    x = mesh.coords[0]
-    return x * forcing.grad(x)
+    """Nodal x . grad(f) as d/dt f(t x) at t = 1, by a complex step.
+
+    With t = 1 + i eps, Im f(t x) / eps = x . grad f(x) + O(eps^2), and
+    no difference is taken, so eps = 1e-30 gives it to rounding (Squire
+    and Trapp, SIAM Review 40, 1998).  The forcing's callable must accept
+    complex coordinates; file forcings have none and raise ValueError.
+    """
+    if forcing.fn is None:
+        raise ValueError(f"forcing {forcing.name!r} has no callable to differentiate")
+    eps = 1e-30
+    return np.imag(forcing.fn(*(x * complex(1.0, eps) for x in mesh.nodes))) / eps
 
 
 def transformed_gradient_bound(mesh: DomainMesh, params: ProblemParams, u,
@@ -175,11 +163,6 @@ def transformed_gradient_bound(mesh: DomainMesh, params: ProblemParams, u,
 
 # ---------------------------------------------------------------------------
 # shooting oracle
-
-
-def _interval_center(mesh: DomainMesh) -> float:
-    lo = mesh.coords[0][0] - mesh.h
-    return lo + 0.5 * mesh.extents[0]
 
 
 def _shoot_profile(a, h_s, nsteps, dim, p, c_pow, c_f, f_half):
@@ -213,6 +196,7 @@ class _ShootingSetup:
             self.nsteps = REFINE * n_axis
             self.h_s = mesh.h / REFINE
             self.node_index = np.arange(mesh.shape[0]) * REFINE
+            center = 0.0
         elif mesh.kind == "interval":
             # mirror about the midpoint: symmetric data assumed
             self.dim = 1
@@ -220,7 +204,7 @@ class _ShootingSetup:
             n_axis = round(mesh.extents[0] / mesh.h)
             self.nsteps = REFINE * n_axis
             self.h_s = mesh.h / (2 * REFINE)
-            center = _interval_center(mesh)
+            center = mesh.origin[0] + 0.5 * mesh.extents[0]
             off = np.abs(mesh.coords[0] - center) / self.h_s
             self.node_index = np.rint(off).astype(int)
         else:
@@ -228,11 +212,8 @@ class _ShootingSetup:
         rq = 0.5 * self.h_s * np.arange(2 * self.nsteps + 1)
         if f_fn is None:
             self.f_half = np.zeros(2 * self.nsteps + 1)
-        elif mesh.kind == "interval":
-            center = _interval_center(mesh)
-            self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         else:
-            self.f_half = np.asarray(f_fn(rq), dtype=float)
+            self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         self.mesh = mesh
 
     def shoot(self, a, p, c_pow, c_f):

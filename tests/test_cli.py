@@ -314,6 +314,18 @@ def test_mountain_pass_check_says_why_it_stopped(tmp_path, monkeypatch):
     assert "no polish certified a saddle (sweep cap 30 reached)" in line
 
 
+def test_run_verify_regime_b_certifies_two_solutions(tmp_path):
+    # small lambda: the saddle search certifies, so the two-solution
+    # checks that follow it run and pass
+    text = ("kind = verify\np = 4\nalpha = 1\nb = 1\nlambda = 0.02\n"
+            "f = constant 1.0\ndomain = ball 1.0 65\ntol = 1e-4\n")
+    code, out = run_cfg(tmp_path, text)
+    report = (out / "report.txt").read_text()
+    assert code == 0, report
+    for name in ("mountain-pass", "distinct-solutions", "energy-signs"):
+        assert f"CHECK {name}: PASS" in report
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "det.cfg"
     cfg.write_text(SOLVE_A.replace("kind = solve", "kind = verify"),

@@ -72,6 +72,18 @@ def test_sweep_lambda_two_branches(ball):
         assert energies[0] < 0.0 < energies[-1]
 
 
+def test_sweep_lambda_keeps_best_failed_attempt():
+    # far above the solvability threshold every solver fails; the point
+    # still gets one row, the attempt with the smallest residual
+    mesh = build_mesh("ball", 1.0, 33)
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1.0, f=const_one(mesh))
+    pts = sweep_lambda(mesh, params, [1e8], SolverConfig(tol=1e-4))
+    assert len(pts) == 1
+    assert pts[0].lam == 1e8
+    assert not pts[0].converged
+    assert pts[0].solver == "descent"
+
+
 def test_estimate_refuses_coercive_regime(interval):
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.1, f=const_one(interval))
     with pytest.raises(RegimeError):

@@ -49,7 +49,7 @@ def test_centered_interval_coords():
 def test_ball_mesh_basic():
     mesh = build_mesh("ball", 1.0, 101)
     assert mesh.dim == 3
-    assert mesh.symmetry_origin
+    assert mesh.origin == (0.0,)
     assert mesh.h == pytest.approx(0.01)
     assert mesh.shape == (100,)
     assert mesh.coords[0][0] == 0.0

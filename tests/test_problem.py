@@ -11,6 +11,7 @@ from kirchhoff_lab.forcing import constant_forcing, eigenmode_forcing, quartic_f
 from kirchhoff_lab.mesh import GridFunction, build_mesh, h1_seminorm, sup_norm
 from kirchhoff_lab.problem import (
     MembershipReport,
+    boundary_distance,
     ProblemParams,
     classify_regime,
     compute_b0,
@@ -170,6 +171,19 @@ def test_fplus_layer_checks(interval):
     f = GridFunction(interval, bump)
     assert membership_Fplus(interval, f, 0.1).member
     assert not membership_M(interval, f).member
+
+
+@pytest.mark.parametrize("mesh", [build_mesh("rectangle", (1.0, 2.0), (33, 65)),
+                                  build_mesh("ball", 1.0, 65)],
+                         ids=["rectangle", "ball"])
+def test_fplus_layer_on_rectangle_and_ball(mesh):
+    assert membership_Fplus(mesh, constant_forcing(mesh).field, 0.1).member
+    # the quartic forcing is -2 L^2 < 0 along the box edges and
+    # 12 R^2 - 20 R^2 < 0 on the sphere
+    rep = membership_Fplus(mesh, quartic_forcing(mesh).field, 0.1)
+    assert not rep.member
+    assert boundary_distance(mesh)[rep.violation_index] < 0.1
+    assert quartic_forcing(mesh).field.values[rep.violation_index] < 0.0
 
 
 def test_fplus_rejects_forcing_from_another_mesh(interval):

@@ -148,6 +148,14 @@ def test_picard_regime_a_strong_damping(interval):
         assert out.positivity == "strictly-positive"
 
 
+def test_picard_stops_at_iteration_budget(interval):
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(interval))
+    out = picard_iterate(interval, params, SolverConfig(max_iter=2, tol=1e-12))
+    assert not out.converged
+    assert out.message == "max iterations reached"
+    assert out.iterations == 2
+
+
 def test_picard_nonmember_forcing_raises(interval):
     f = make_forcing(interval, "constant -1").field
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=f)
