@@ -10,8 +10,9 @@ Three drivers:
   positive solution); "unsolvable" means Picard, descent and two seeded
   multi-starts all failed.  Nonexistence is never certified, only reported.
 * ``sweep_b_threshold`` -- the unforced problem over a b grid, decided
-  twice per point: a grid search (semilinear base solution, scalar
-  consistency root, Newton polish) and the independent shooting oracle.
+  twice per point: a grid search (``solvers.unforced_solution``, the
+  scaled embedding minimizer, polished by Newton) and the independent
+  shooting oracle.
   The two routes are recorded separately and compared with the closed
   form threshold.
 """
@@ -21,9 +22,8 @@ from dataclasses import dataclass, replace
 
 from . import constants
 from .exceptions import ConvergenceError, KirchhoffLabError, RegimeError
-from .mesh import DomainMesh, GridFunction, h1_seminorm, sup_norm
+from .mesh import DomainMesh, GridFunction, sup_norm
 from .problem import ProblemParams, compute_b0, regime_letter, require_member
-from .scalar_reduction import consistency_root
 from .solvers import (
     SolveOutcome,
     SolverConfig,
@@ -34,6 +34,7 @@ from .solvers import (
     multi_start,
     newton_nonlocal,
     picard_iterate,
+    unforced_solution,
 )
 from .verify import _homogeneous_probes
 
@@ -215,30 +216,16 @@ class BThresholdReport:
     consistent: bool  # the closed-form threshold falls inside the bracket
 
 
-def _semilinear_base(mesh: DomainMesh, p: float, config: SolverConfig):
-    """Positive solution of the unit-coefficient power problem on the grid."""
-    tiny = ProblemParams(b=1e-300, alpha=1.0, p=p, lam=0.0)
-    probe_cfg = replace(config, max_iter=min(config.max_iter, 80))
-    _, phi1 = constants.eigenpair(mesh)
-    phi1 = (1.0 / sup_norm(mesh, phi1)) * phi1
-    for k in range(-2, 24):
-        start = float(2.0**k) * phi1
-        out = newton_nonlocal(mesh, tiny, probe_cfg, start)
-        if (out.converged and out.positivity == "strictly-positive"
-                and sup_norm(mesh, out.solution) > 10.0 * config.tol):
-            return out.solution
-    raise ConvergenceError("no positive base solution for the power problem")
-
-
 def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
                       b_grid, config: SolverConfig | None = None) -> BThresholdReport:
     """Existence of the unforced problem across a b grid, decided two ways.
 
-    Grid route: rescale the semilinear base solution through the scalar
-    consistency root and polish with Newton.  Oracle route: shooting plus
-    the same scalar analysis on the fine profile.  The routes stay
-    independent; the report records where they disagree and whether the
-    closed-form threshold lands inside the observed transition bracket.
+    Grid route: ``unforced_solution`` at each b (the embedding minimizer
+    scaled through the scalar consistency root; none when the root does
+    not exist) polished by Newton.  Oracle route: shooting plus the same
+    scalar analysis on the fine profile.  The routes stay independent;
+    the report records where they disagree and whether the closed-form
+    threshold lands inside the observed transition bracket.
     """
     if regime_letter(replace(params, lam=0.0), mesh.dim) != "A":
         raise RegimeError("the b threshold exists for coercive exponents only")
@@ -250,18 +237,14 @@ def sweep_b_threshold(mesh: DomainMesh, params: ProblemParams,
     b0 = compute_b0(params, S)
     if not b_grid:
         return BThresholdReport((), b0, 0.0, math.inf, True)
-    base = _semilinear_base(mesh, params.p, config)
-    G_grid = h1_seminorm(mesh, base) ** (2.0 * params.alpha)
-    beta = 2.0 * params.alpha / (params.p - 1.0)
     oracle = _homogeneous_probes(mesh, params.p, params.alpha, b_grid)
 
     def probe(b, pr) -> BThresholdPoint:
-        t = consistency_root(G_grid, beta, b)
+        p_b = replace(params, b=b)
+        cand = unforced_solution(mesh, p_b)
         grid_found = False
-        if t is not None:
-            cand = (1.0 + b * t) ** (1.0 / (params.p - 1.0)) * base
-            out = newton_nonlocal(mesh, replace(params, b=b, lam=0.0),
-                                  config, cand)
+        if cand is not None:
+            out = newton_nonlocal(mesh, p_b, config, cand)
             grid_found = (out.converged
                           and out.positivity == "strictly-positive"
                           and sup_norm(mesh, out.solution) > 10.0 * config.tol)

@@ -18,9 +18,12 @@ Four procedures, matched to the exponent regimes:
   Poisson-preconditioned gradient, optionally confined to the trust ball
   |grad u| <= rho0 (regime B's local minimizer), with a guarded Newton
   handoff once the gradient is small.
-* ``mountain_pass_search``-- discretized path relaxation between 0 and a
-  negative-energy endpoint t0*phi1: repeatedly pull the highest node
-  downhill and re-spline, then polish the saddle candidate with Newton.
+* ``mountain_pass_search``-- Newton at lambda started from the exact
+  unforced solution ``unforced_solution`` (the scaled embedding
+  minimizer), which is the mountain-pass solution at lambda = 0.  A
+  failed Newton solve keeps Newton's message; a converged landing below
+  the energy floor E0, or not strictly positive, is reported unconverged
+  with the reason.
 
 ``battery`` runs Picard and descent; ``multi_start`` drives Newton from
 the fields its caller passes plus seeded random positive fields and
@@ -33,13 +36,12 @@ import numpy as np
 
 from . import _kernels, constants
 from .energy import EnergyBreakdown, energy_eval, energy_gradient
-from .exceptions import BarrierError, KirchhoffLabError, RegimeError
+from .exceptions import BarrierError, ConvergenceError, KirchhoffLabError, RegimeError
 from .mesh import (
     DomainMesh,
     GridFunction,
     _values,
     h1_seminorm,
-    laplacian_apply,
     lp_norm,
     poisson_solve,
     rectangle_blocks,
@@ -52,10 +54,8 @@ from .problem import (
     membership_M,
     regime_letter,
 )
-from .scalar_reduction import kirchhoff_linear_solve, picard_rescale
+from .scalar_reduction import consistency_root, kirchhoff_linear_solve, picard_rescale
 
-PATH_NODES = 17  # mountain-pass path resolution
-SWEEP_CAP = 6000  # relaxation sweeps before the top node is returned
 DAMPING_FLOOR = 2.0**-10  # smallest Newton step fraction tried (11 trials)
 MULTI_STARTS = 8  # seeded random Newton starts per multi_start call
 
@@ -65,7 +65,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 500
     seed: int = 42
-    rho0: float | None = None  # trust ball radius for regime-B descent
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -383,9 +382,7 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
     if regime == "C":
         raise RegimeError("energy descent needs regime A or B (coercive or ball mode)")
     ball = regime == "B"
-    rho0 = config.rho0
-    if ball and rho0 is None:
-        rho0 = mountain_pass_geometry(mesh, params).rho0
+    rho0 = mountain_pass_geometry(mesh, params).rho0 if ball else None
 
     u = np.zeros(mesh.shape)
     if params.lam > 0 and membership_M(mesh, params.f).member:
@@ -458,39 +455,37 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
 # mountain pass
 
 
-def _respline(path: list[np.ndarray], mesh: DomainMesh) -> list[np.ndarray]:
-    """Redistribute path nodes to equal spacing in the seminorm metric."""
-    K = len(path)
-    seg = np.array([
-        h1_seminorm(mesh, path[i + 1] - path[i]) for i in range(K - 1)
-    ])
-    total = float(np.sum(seg))
-    if total <= 0.0:
-        return path
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    targets = np.linspace(0.0, total, K)
-    out = [path[0]]
-    j = 0
-    for t in targets[1:-1]:
-        while j < K - 2 and cum[j + 1] < t:
-            j += 1
-        width = cum[j + 1] - cum[j]
-        frac = 0.0 if width == 0.0 else (t - cum[j]) / width
-        out.append((1.0 - frac) * path[j] + frac * path[j + 1])
-    out.append(path[-1])
-    return out
+def unforced_solution(mesh: DomainMesh, params: ProblemParams) -> GridFunction | None:
+    """Positive solution of the unforced problem, exact up to the embedding
+    minimizer's accuracy, or None when ``consistency_root`` finds no root.
+
+    The minimizer u_S of the embedding quotient solves -lap u_S = S u_S^p,
+    so w0 = S^{1/(p-1)} u_S solves -lap w0 = w0^p; with
+    t = ``consistency_root``(|grad w0|^{2 alpha}, 2 alpha/(p-1), b),
+    U0 = (1 + b t)^{1/(p-1)} w0 solves the nonlocal equation at lambda = 0.
+    """
+    p = params.p
+    S, u_S = constants.sobolev(mesh, p)
+    w0 = S ** (1.0 / (p - 1.0)) * u_S
+    G = h1_seminorm(mesh, w0) ** (2.0 * params.alpha)
+    t = consistency_root(G, 2.0 * params.alpha / (p - 1.0), params.b)
+    if t is None:
+        return None
+    return (1.0 + params.b * t) ** (1.0 / (p - 1.0)) * w0
 
 
 def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
                          config: SolverConfig) -> SolveOutcome:
-    """Discretized mountain-pass relaxation polished by Newton.
+    """Mountain-pass solution: Newton at lambda from the unforced solution.
 
-    Requires regime B and lambda below the sphere-floor gate beta_f.  The
-    path runs from 0 to t0*phi1 with t0 doubled until the endpoint energy
-    is negative; the highest interior node is pulled downhill with a
-    preconditioned Armijo step and the path is re-splined each sweep.
-    When no polish certifies a saddle, the path's top node comes back
-    unconverged, with the reason in ``message``.
+    Requires regime B and lambda below the sphere-floor gate beta_f.  At
+    lambda = 0 ``unforced_solution`` is the mountain-pass solution itself;
+    for small lambda one Newton solve carries it to the forced saddle.
+    ``iterations``, ``residual_history`` and a failed solve's ``message``
+    are Newton's.  A converged landing is still rejected (converged=False,
+    reason in ``message``) when its energy is below the floor E0, which
+    every 0 -> negative path must cross on the rho0 sphere, or when it is
+    not strictly positive.
     """
     regime = regime_letter(params, mesh.dim)
     if regime != "B":
@@ -501,94 +496,20 @@ def mountain_pass_search(mesh: DomainMesh, params: ProblemParams,
             f"lambda={params.lam} is not below the mountain-pass gate "
             f"beta_f={geom.beta_f:.6g}"
         )
-    _, phi1 = constants.eigenpair(mesh)
-    sem_phi = h1_seminorm(mesh, phi1)
-
-    def ray_energy(t):
-        return energy_eval(mesh, params, t * phi1).total
-
-    t0 = max(2.0 * geom.rho0 / sem_phi, 1.0)
-    for _ in range(200):
-        if ray_energy(t0) < 0.0:
-            break
-        t0 *= 2.0
+    start = unforced_solution(mesh, params)
+    if start is None:
+        raise ConvergenceError("no consistency root for the unforced start")
+    out = replace(newton_nonlocal(mesh, params, config, start), solver="mountain-pass")
+    if not out.converged:
+        return out
+    level = out.energy.total
+    if level < geom.E0 * (1 - 1e-9):
+        reason = f"landed at level {level:.6g} below the floor E0={geom.E0:.6g}"
+    elif out.positivity != "strictly-positive":
+        reason = f"landed on a {out.positivity} critical point"
     else:
-        raise RegimeError("could not drive the endpoint energy negative")
-
-    path = [(i / (PATH_NODES - 1)) * t0 * phi1.values for i in range(PATH_NODES)]
-    lam_f = forcing_values(mesh, params)
-    scale = 1.0 + float(np.max(np.abs(lam_f)))
-    gate = max(1e-3 * scale, 10.0 * config.tol)
-    polish_every = 25
-    history = []
-    reason = f"sweep cap {SWEEP_CAP} reached"
-
-    def dirichlet_inner(a, b):
-        return float(np.sum(mesh.weights * laplacian_apply(mesh, a).values * b))
-
-    def top_node():
-        energies = [energy_eval(mesh, params, GridFunction(mesh, v)).total
-                    for v in path]
-        return 1 + int(np.argmax(energies[1:-1])), energies
-
-    for sweep in range(SWEEP_CAP):
-        j, energies = top_node()
-        if energies[j] <= max(0.0, energies[-1]) + 1e-14:
-            return _outcome(mesh, params, path[j], "mountain-pass", sweep, config,
-                            False, message="path collapsed (no positive pass level)")
-        node = GridFunction(mesh, path[j])
-        g = energy_gradient(mesh, params, node)
-        res = sup_norm(mesh, g)
-        history.append(res)
-        if res <= gate or sweep % polish_every == 0:
-            cand = newton_nonlocal(mesh, params, config, node)
-            # every 0 -> negative path crosses the rho0 sphere, where the
-            # energy exceeds E0 for lambda under the gate; a polished
-            # critical point below that floor is a spurious landing
-            good = (cand.converged and cand.energy.total >= geom.E0 * (1 - 1e-9)
-                    and cand.positivity == "strictly-positive"
-                    and sup_norm(mesh, cand.solution) > 10.0 * config.tol)
-            if good:
-                return replace(
-                    cand, solver="mountain-pass",
-                    iterations=sweep + cand.iterations,
-                    message=f"pass level {energies[j]:.6g} (floor E0={geom.E0:.6g})",
-                    residual_history=tuple(history),
-                )
-            if res <= gate:
-                gate *= 0.25
-                if gate < config.tol:
-                    reason = "Newton gate fell below tol"
-                    break
-        # descend perpendicular to the path so the node lowers the pass
-        # instead of sliding along the string into a valley
-        d = poisson_solve(mesh, g).values
-        tau = path[j + 1] - path[j - 1]
-        tau_sq = dirichlet_inner(tau, tau)
-        if tau_sq > 0.0:
-            d_perp = d - (dirichlet_inner(d, tau) / tau_sq) * tau
-            if h1_seminorm(mesh, d_perp) > 1e-12 * h1_seminorm(mesh, d):
-                d = d_perp
-        gd = float(np.sum(mesh.weights * g.values * d))
-        dn = h1_seminorm(mesh, d)
-        seg = max(h1_seminorm(mesh, path[j] - path[j - 1]),
-                  h1_seminorm(mesh, path[j + 1] - path[j]))
-        # step cap: a node may not jump further than its neighbor spacing,
-        # which is what keeps it from overshooting the saddle ridge
-        s = min(1.0, 0.5 * seg / dn) if dn > 0.0 else 0.0
-        for _ in range(50):
-            trial = path[j] - s * d
-            I_try = energy_eval(mesh, params, GridFunction(mesh, trial)).total
-            if I_try <= energies[j] - 1e-4 * s * gd:
-                path[j] = trial
-                break
-            s *= 0.5
-        path = _respline(path, mesh)
-    j, energies = top_node()
-    return _outcome(mesh, params, path[j], "mountain-pass", len(history), config,
-                    False, history=history,
-                    message=f"no polish certified a saddle ({reason}); top path "
-                            f"node returned at level {energies[j]:.6g}")
+        return replace(out, message=f"pass level {level:.6g} (floor E0={geom.E0:.6g})")
+    return replace(out, converged=False, message=reason)
 
 
 # ---------------------------------------------------------------------------

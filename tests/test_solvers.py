@@ -5,8 +5,12 @@ Oracles used here:
 * closed-form barrier ladder values on intervals of length 1 and 4,
 * the small-sphere energy floor E0, checked against random fields on the
   rho0 sphere,
-* the linear comparison witness, which bounds descent energies from above.
+* the linear comparison witness, which bounds descent energies from above,
+* the RK4 unforced shooting profile, against which the scaled embedding
+  minimizer that starts the mountain-pass search is checked.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from kirchhoff_lab import constants, solvers
 from kirchhoff_lab.energy import energy_eval, energy_gradient
 from kirchhoff_lab.exceptions import (
     BarrierError,
+    ConvergenceError,
     MeshMismatchError,
     NonMemberError,
     RegimeError,
@@ -40,6 +45,7 @@ from kirchhoff_lab.solvers import (
     newton_nonlocal,
     picard_iterate,
 )
+from kirchhoff_lab.verify import homogeneous_shooting
 
 
 @pytest.fixture(scope="module")
@@ -404,13 +410,16 @@ def test_descent_regime_c_refused(ball):
 
 
 def test_descent_tiny_trust_ball_reports_pinning(ball):
-    # the true local minimizer has seminorm ~1.1e-2; a much smaller ball
-    # forces a boundary-constrained iterate, which must be flagged
-    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.02, f=const_one(ball))
-    out = descent_minimize(ball, params, SolverConfig(rho0=0.008, max_iter=120))
+    # at lambda = 1e4 the forcing pushes the minimizer out of the trust
+    # ball of radius rho0, so the iterate sticks to the sphere and the
+    # stop must say so
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1e4, f=const_one(ball))
+    rho0 = mountain_pass_geometry(ball, params).rho0
+    out = descent_minimize(ball, params, SolverConfig())
     assert not out.converged
-    assert "pinned" in out.message
-    assert h1_seminorm(ball, out.solution) <= 0.008 * (1 + 1e-9)
+    assert out.message == "minimizer pinned to the trust-ball boundary"
+    assert out.iterations < 100
+    assert h1_seminorm(ball, out.solution) == pytest.approx(rho0, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +440,74 @@ def test_mountain_pass_two_distinct_solutions(ball):
     assert sup_norm(ball, high.solution - low.solution) >= 1e-3
 
 
-def test_mountain_pass_fallback_returns_top_path_node(ball, monkeypatch):
-    # a polish that never converges runs the search into its sweep cap;
-    # the fallback is then the path's top node, not the last polish
+def test_mountain_pass_saddle_known_answer(ball):
+    # pinned to the saddle the string relaxation this search replaced found
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.02, f=const_one(ball))
+    out = mountain_pass_search(ball, params, SolverConfig(tol=1e-4))
+    assert out.converged and out.solver == "mountain-pass"
+    assert out.energy.total == pytest.approx(6.832768e7, rel=1e-6)
+    assert sup_norm(ball, out.solution) == pytest.approx(204.86, abs=0.01)
+    assert out.message.startswith(f"pass level {out.energy.total:.6g}")
+
+
+def test_unforced_solution_matches_shooting(interval):
+    # the scaled embedding minimizer against the independent RK4 profile
+    params = ProblemParams(b=1.0, alpha=0.5, p=3.0, lam=0.0)
+    u0 = solvers.unforced_solution(interval, params)
+    w = homogeneous_shooting(interval, 3.0, 0.5, 1.0).solution
+    assert sup_norm(interval, u0 - w) <= 0.01 * sup_norm(interval, w)
+    out = newton_nonlocal(interval, params, SolverConfig(tol=1e-8), u0)
+    assert out.converged and out.iterations <= 2
+
+
+def test_mountain_pass_keeps_newton_failure(ball, monkeypatch):
     params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.02, f=const_one(ball))
     config = SolverConfig(tol=1e-4)
 
     def no_polish(mesh, params, config, initial):
-        return solvers._outcome(mesh, params, 2.0 * initial.values, "newton", 1,
-                                config, False, message="stub")
+        return solvers._outcome(mesh, params, initial.values, "newton", 3,
+                                config, False, message="stub", history=(1.0,) * 3)
 
     monkeypatch.setattr(solvers, "newton_nonlocal", no_polish)
-    monkeypatch.setattr(solvers, "SWEEP_CAP", 30)
     out = mountain_pass_search(ball, params, config)
     assert not out.converged and out.solver == "mountain-pass"
-    assert out.iterations == 30 == len(out.residual_history)
-    assert "sweep cap 30 reached" in out.message
-    assert f"level {out.energy.total:.6g}" in out.message
-    assert out.energy.total > 0.0
+    assert out.message == "stub"
+    assert out.iterations == 3 == len(out.residual_history)
+
+
+def test_mountain_pass_rejects_landing_below_floor(ball, monkeypatch):
+    # a Newton solve that lands on the local minimizer converges, but its
+    # negative energy is below the floor E0 every pass level clears
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.02, f=const_one(ball))
+    config = SolverConfig(tol=1e-4)
+    low = descent_minimize(ball, params, config)
+    assert low.converged and low.energy.total < 0.0
+    monkeypatch.setattr(solvers, "newton_nonlocal", lambda *args: low)
+    out = mountain_pass_search(ball, params, config)
+    assert not out.converged and out.solver == "mountain-pass"
+    E0 = mountain_pass_geometry(ball, params).E0
+    assert out.message == (f"landed at level {low.energy.total:.6g} below "
+                           f"the floor E0={E0:.6g}")
+
+
+def test_mountain_pass_rejects_sign_changing_landing(ball, monkeypatch):
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.02, f=const_one(ball))
+    config = SolverConfig(tol=1e-4)
+    saddle = mountain_pass_search(ball, params, config)
+    flipped = replace(saddle, positivity="sign-changing")
+    monkeypatch.setattr(solvers, "newton_nonlocal", lambda *args: flipped)
+    out = mountain_pass_search(ball, params, config)
+    assert not out.converged
+    assert out.message == "landed on a sign-changing critical point"
+
+
+def test_mountain_pass_without_unforced_start_raises(ball):
+    # p just above 2 alpha + 1 puts the consistency root past the range
+    # consistency_root searches, so there is no start and the search says so
+    params = ProblemParams(b=10.0, alpha=1.0, p=3.02, lam=0.0)
+    assert solvers.unforced_solution(ball, params) is None
+    with pytest.raises(ConvergenceError, match="no consistency root"):
+        mountain_pass_search(ball, params, SolverConfig())
 
 
 def test_mountain_pass_requires_regime_b(interval):
