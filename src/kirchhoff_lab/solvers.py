@@ -17,7 +17,11 @@ Four procedures, matched to the exponent regimes:
 * ``descent_minimize``    -- Armijo backtracking on the energy with the
   Poisson-preconditioned gradient, optionally confined to the trust ball
   |grad u| <= rho0 (regime B's local minimizer), with a guarded Newton
-  handoff once the gradient is small.
+  handoff once the gradient is small.  A trial counts only if it lowers
+  the energy by more than the round-off of its terms.  It stops
+  converged, by "newton handoff", or with one of "minimizer pinned to
+  the trust-ball boundary", "line search stalled at residual ..." or
+  "max iterations reached[; iterate pinned ...]" in ``message``.
 * ``mountain_pass_search``-- Newton at lambda started from the exact
   unforced solution ``unforced_solution`` (the scaled embedding
   minimizer), which is the mountain-pass solution at lambda = 0.  A
@@ -377,6 +381,23 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
     so the search stays inside the small-sphere bump.  Once the gradient
     is small the iterate is handed to Newton, and the Newton result is
     accepted only if it does not raise the energy or leave the ball.
+
+    A line-search trial is accepted only when its energy drop exceeds
+    8 eps (dirichlet + nonlocal + potential + |forcing|), the round-off of
+    evaluating the trial's energy (Hager & Zhang, SIAM J. Optim. 16, 2005,
+    sec. 4), and either passes the Armijo test or was projected onto the
+    sphere.  Smaller drops are round-off, so an iterate that no longer
+    moves fails the search at once instead of taking null steps until
+    max_iter.  Stop reasons, in ``message``:
+
+    * "" -- converged, gradient residual <= tol;
+    * "newton handoff" -- converged through the guarded Newton handoff;
+    * "minimizer pinned to the trust-ball boundary" -- no trial was
+      accepted and the iterate lies on the sphere |grad u| = rho0;
+    * "line search stalled at residual R" -- no trial was accepted inside
+      the ball (or in regime A), e.g. when tol is below round-off;
+    * "max iterations reached", with "; iterate pinned to the trust-ball
+      boundary" appended when the last iterate lies on the sphere.
     """
     regime = regime_letter(params, mesh.dim)
     if regime == "C":
@@ -429,10 +450,13 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
                 if sem > rho0:
                     trial = trial * (rho0 / sem)
                     projected = True
-            I_try = energy_eval(mesh, params, GridFunction(mesh, trial)).total
-            if I_try <= I_cur - 1e-4 * s * gd or (projected and I_try < I_cur):
+            e = energy_eval(mesh, params, GridFunction(mesh, trial))
+            drop = I_cur - e.total
+            noise = 8.0 * np.finfo(float).eps * (
+                e.dirichlet + e.nonlocal_term + e.potential + abs(e.forcing))
+            if drop > noise and (projected or drop >= 1e-4 * s * gd):
                 u = trial
-                I_cur = I_try
+                I_cur = e.total
                 accepted = True
                 break
             s *= 0.5

@@ -409,17 +409,39 @@ def test_descent_regime_c_refused(ball):
         descent_minimize(ball, params, SolverConfig())
 
 
-def test_descent_tiny_trust_ball_reports_pinning(ball):
-    # at lambda = 1e4 the forcing pushes the minimizer out of the trust
-    # ball of radius rho0, so the iterate sticks to the sphere and the
-    # stop must say so
-    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1e4, f=const_one(ball))
+@pytest.mark.parametrize("lam, tol", [(1e4, 1e-8), (204.8, 1e-4), (1638.4, 1e-4)])
+def test_descent_tiny_trust_ball_reports_pinning(ball, lam, tol):
+    # the forcing pushes the minimizer out of the trust ball of radius
+    # rho0, so the iterate sticks to the sphere; once no step lowers the
+    # energy beyond round-off the line search fails and descent stops at
+    # a boundary KKT point instead of running to max_iter (204.8 and
+    # 1638.4 are threshold-scenario probes whose iterate stops moving on
+    # the sphere long before max_iter)
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=lam, f=const_one(ball))
     rho0 = mountain_pass_geometry(ball, params).rho0
-    out = descent_minimize(ball, params, SolverConfig())
+    out = descent_minimize(ball, params, SolverConfig(tol=tol))
     assert not out.converged
     assert out.message == "minimizer pinned to the trust-ball boundary"
     assert out.iterations < 100
     assert h1_seminorm(ball, out.solution) == pytest.approx(rho0, rel=1e-8)
+    g = energy_gradient(ball, params, out.solution).values
+    assert float(np.sum(ball.weights * g * out.solution.values)) < 0.0
+
+
+def test_descent_below_round_off_floor_stalls():
+    # regime A: a tolerance below the round-off floor of the energy cannot
+    # be reached by descent, so the line search stalls early; a reachable
+    # tolerance still converges through the Newton handoff
+    mesh = build_mesh("interval", (1.0,), 129)
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(mesh))
+    out = descent_minimize(mesh, params, SolverConfig(tol=1e-14))
+    assert not out.converged
+    assert out.iterations < 50
+    assert out.message.startswith("line search stalled at residual")
+    out = descent_minimize(mesh, params, SolverConfig(tol=1e-8))
+    assert out.converged
+    assert out.message == "newton handoff"
+    assert out.iterations == 5
 
 
 # ---------------------------------------------------------------------------
