@@ -22,8 +22,9 @@ self-adjoint and its Dirichlet form matches ``h1_seminorm`` to rounding,
 which the solvers rely on when they differentiate the energy.
 
 Linear solves are direct: Thomas elimination on the tridiagonal 1-D
-operators, block-tridiagonal LU over the x-rows on rectangles
-(``rectangle_blocks``), so no rectangle matrix is ever assembled.
+operators; on rectangles a sine transform in y, tridiagonal in x
+(``_kernels.sine_poisson``), so no rectangle matrix is ever assembled or
+factored.
 
 Quadrature is the nodal rectangle rule, which coincides with the
 trapezoid rule here because boundary values vanish.
@@ -241,14 +242,12 @@ def laplacian_apply(mesh: DomainMesh, u) -> GridFunction:
 def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     """Solve minus-Laplacian u = rhs exactly (up to round-off).
 
-    Tridiagonal elimination for interval/ball meshes; block-tridiagonal
-    LU over the x-rows (``rectangle_blocks``) for rectangles.
+    Tridiagonal elimination for interval/ball meshes; on rectangles a sine
+    transform in y, tridiagonal in x (``_kernels.sine_poisson``).
     """
     vals = _values(mesh, rhs)
     if mesh.kind == "rectangle":
-        T, c = rectangle_blocks(mesh)
-        x = _kernels.block_tridiag_solve(T, c, np.zeros(mesh.shape), vals[..., None])
-        return GridFunction(mesh, x[..., 0])
+        return GridFunction(mesh, _kernels.sine_poisson(vals, *mesh.spacing))
     sub, diag, sup = mesh.stencil
     x = np.empty_like(vals)
     _kernels.thomas_solve(sub, diag, sup, vals, x)
@@ -261,6 +260,8 @@ def rectangle_blocks(mesh: DomainMesh):
     Returns ``(T, c)``.  With the unknowns ordered like ``values.ravel()``,
     block i is the x-row i, whose my nodes couple along y through the
     (my, my) tridiagonal block T; neighbouring rows couple through c*I.
+    Only Newton's variable-potential operator coeff*(-lap) - diag(pot)
+    uses it; plain Poisson solves go through the sine transform.
     """
     hx, hy = mesh.spacing
     ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
@@ -272,8 +273,9 @@ def rectangle_blocks(mesh: DomainMesh):
 
 def dense_operator(mesh: DomainMesh) -> np.ndarray:
     """Assemble the tridiagonal minus-Laplacian of an interval or ball as a
-    dense matrix.  Rectangles have no dense form here: their solves go
-    through ``rectangle_blocks``."""
+    dense matrix.  Rectangles have no dense form here: their Poisson solves
+    go through the sine transform, their Newton solves through
+    ``rectangle_blocks``."""
     if mesh.kind == "rectangle":
         raise MeshError("dense_operator covers interval and ball meshes only")
     sub, diag, sup = mesh.stencil

@@ -273,6 +273,8 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     lam_f = forcing_values(mesh, params).ravel()
     u = _values(mesh, initial).ravel().copy()
     scale = 1.0 + float(np.max(np.abs(lam_f)))
+    if mesh.kind == "rectangle":
+        T, c = rectangle_blocks(mesh)
     history = []
     for it in range(config.max_iter):
         A, w, Lu, K, coeff, up, F = _newton_pieces(mesh, params, lam_f, u)
@@ -289,7 +291,6 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
         rhs = np.column_stack((-F, Lu))
         try:
             if A is None:
-                T, c = rectangle_blocks(mesh)
                 X = _kernels.block_tridiag_solve(
                     coeff * T, coeff * c, pot.reshape(mesh.shape),
                     rhs.reshape(*mesh.shape, 2)).reshape(-1, 2)

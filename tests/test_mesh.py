@@ -234,6 +234,39 @@ def test_block_tridiag_solve_singular_first_block():
         _kernels.block_tridiag_solve(T, 1.0, np.zeros((4, 3)), np.ones((4, 3, 1)))
 
 
+@pytest.mark.parametrize(
+    "extents, resolution",
+    [
+        ((1.0, 2.0), (9, 13)),   # 7 x 11, my odd, hx = 1/8 != hy = 1/6
+        ((2.0, 1.0), (11, 8)),   # 9 x 6, my even
+        ((0.7, 1.3), (10, 24)),  # 8 x 22, mx < my
+        ((1.0, 0.5), (7, 4)),    # 5 x 2, the smallest my
+        ((1.0, 1.0), (4, 4)),    # 2 x 2, the smallest grid
+    ],
+)
+def test_rectangle_poisson_matches_assembled(extents, resolution):
+    mesh = build_mesh("rectangle", extents, resolution)
+    rng = np.random.default_rng(sum(resolution))
+    f = rng.standard_normal(mesh.shape)
+    ref = np.linalg.solve(assembled_rectangle(mesh), f.ravel()).reshape(mesh.shape)
+    u = poisson_solve(mesh, f).values
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_rectangle_poisson_factors_nothing(monkeypatch):
+    # the sine transform needs no LU: the Poisson solve and the per-mesh
+    # constants built on it must not fall back to a factorization
+    def boom(*args, **kwargs):
+        raise AssertionError("rectangle Poisson solve factored a matrix")
+
+    monkeypatch.setattr(_kernels, "block_tridiag_solve", boom)
+    monkeypatch.setattr(np.linalg, "solve", boom)
+    mesh = build_mesh("rectangle", (1.0, 1.5), (17, 13))
+    poisson_solve(mesh, np.ones(mesh.shape))
+    assert np.min(kirchhoff_lab.constants.torsion(mesh).values) > 0.0
+    principal_eigenpair(mesh)
+
+
 def test_rectangle_eigenfunction_consistency():
     # lap(sin(pi x) sin(pi y)) = 2 pi^2 sin sin; leading truncation error of
     # the 5-point stencil is (h^2/12)(u_xxxx + u_yyyy) = (pi^4 h^2 / 6) u
@@ -261,6 +294,23 @@ def test_interval_principal_eigenvalue_closed_form():
     assert abs(lam - exact) <= 1e-10 * exact
     assert np.min(phi.values) > 0.0
     assert sup_norm(mesh, phi) == pytest.approx(1.0)
+
+
+def test_rectangle_principal_eigenpair_closed_form():
+    # the discrete eigenvector is sin(pi x/Lx) sin(pi y/Ly) sampled at the
+    # nodes, with the sum of the two 1-D eigenvalues as eigenvalue
+    mesh = build_mesh("rectangle", (1.0, 1.5), (17, 13))
+    (hx, hy), (Lx, Ly) = mesh.spacing, mesh.extents
+    lam, phi = principal_eigenpair(mesh)
+    exact = ((4.0 / hx**2) * np.sin(np.pi * hx / (2.0 * Lx)) ** 2
+             + (4.0 / hy**2) * np.sin(np.pi * hy / (2.0 * Ly)) ** 2)
+    assert abs(lam - exact) <= 1e-12 * exact
+    x, y = mesh.nodes
+    mode = np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
+    # the iteration stops when the eigenvalue settles to 1e-12 relative; the
+    # eigenvector error is about the square root of the eigenvalue's, which
+    # leaves phi about 2.5e-7 from the mode here
+    assert np.max(np.abs(phi.values - mode / np.max(mode))) <= 1e-6
 
 
 def test_ball_principal_eigenvalue_near_pi_squared():
