@@ -1,7 +1,9 @@
 """Hot numerical kernels: the tridiagonal apply and solve, the 2-D
-5-point stencil, its fast Poisson solve by sine transform
-(``sine_poisson``) and its block-tridiagonal solve for variable
-potentials, and the radial RK4 shot, in numpy and plain Python.
+5-point stencil, its fast Poisson solve by double sine transform
+(``sine_poisson``), the MINRES solve of the stencil shifted by a
+variable potential (``local_minres``, preconditioned by that transform),
+and the radial RK4 shot, in numpy and plain Python.  No rectangle matrix
+is assembled or factored.
 
 The two scalar loops, ``thomas_solve`` and ``rk4_radial``, run on Python
 floats rather than numpy scalars: the doubles and the expression order
@@ -48,82 +50,140 @@ def thomas_solve(sub, diag, sup, rhs, x):
     return x
 
 
-def block_tridiag_solve(T, c, P, R):
-    """Solve the block-tridiagonal system with diagonal blocks
-    D_i = T - diag(P[i]) and off-diagonal blocks c*I.
-
-    T is (my, my), P is (mx, my) and R is (mx, my, k): k right-hand
-    sides, block i of each in R[i].  Returns X shaped like R.  Block LU
-    (Golub & Van Loan, Matrix Computations, section 4.5): the Schur
-    blocks are S_0 = D_0 and S_i = D_i - c^2 S_{i-1}^{-1}, each handled by
-    one np.linalg.solve, so partial pivoting acts inside a block and not
-    across blocks.  A singular Schur block raises np.linalg.LinAlgError.
-    """
-    mx, my = P.shape
-    k = R.shape[2]
-    G = np.empty((mx, my, my))  # c * S_i^{-1}
-    Y = np.empty((mx, my, k))
-    rhs = np.empty((my, my + k))
-    rhs[:, :my] = c * np.eye(my)
-    diag = np.diag_indices(my)
-    for i in range(mx):
-        S = T.copy()
-        S[diag] -= P[i]
-        if i == 0:
-            rhs[:, my:] = R[0]
-        else:
-            S -= c * G[i - 1]
-            rhs[:, my:] = R[i] - c * Y[i - 1]
-        Z = np.linalg.solve(S, rhs)
-        G[i] = Z[:, :my]
-        Y[i] = Z[:, my:]
-    for i in range(mx - 2, -1, -1):
-        Y[i] -= G[i] @ Y[i + 1]
-    return Y
+def _sine_basis(m, h):
+    # The m-point second difference (-1, 2, -1)/h^2 has the orthonormal
+    # eigenvectors q_k(j) = sqrt(2/(m+1)) sin(jk pi/(m+1)), so Q is
+    # symmetric and its own inverse, with eigenvalues
+    # (4/h^2) sin^2(k pi/(2(m+1))), written with sin^2 so that small k do
+    # not cancel; jk mod 2(m+1) keeps the sine argument in [0, 2 pi).
+    n = m + 1
+    j = np.arange(1, n)
+    Q = np.sqrt(2.0 / n) * np.sin((np.pi / n) * (np.outer(j, j) % (2 * n)))
+    return Q, (4.0 / h**2) * np.sin((0.5 * np.pi / n) * j) ** 2
 
 
 def sine_poisson(R, hx, hy):
     """Solve the 5-point minus-Laplacian system on an (mx, my) interior
     grid with zero Dirichlet data: right-hand side R, spacings hx, hy.
+    Leading axes of R, shaped (..., mx, my), are independent systems.
 
-    Matrix decomposition (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
-    1970).  The row block of the operator along y has the orthonormal
-    eigenvectors q_k(j) = sqrt(2/(my+1)) sin(jk pi/(my+1)), so Q is
-    symmetric and its own inverse, with eigenvalues
-    mu_k = 2/hx^2 + (4/hy^2) sin^2(k pi/(2(my+1))), written with sin^2 so
-    that small k do not cancel.  Transform R in y, solve the my decoupled
-    tridiagonal systems (-1/hx^2, mu_k, -1/hx^2) in x with one Thomas sweep
-    vectorised across k (diagonally dominant, so no pivoting), and
-    transform back: O(mx my^2), against O(mx my^3) for the block LU.
+    The operator is a Kronecker sum of two second differences, so the
+    orthonormal sine matrices Qx and Qy diagonalise it with eigenvalues
+    mu_x[i] + mu_y[j] (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    1970): U = Qx ((Qx R Qy) / (mu_x[i] + mu_y[j])) Qy, four matmuls and
+    O(mx my (mx + my)) work.
     """
-    mx, my = R.shape
-    n = my + 1
-    j = np.arange(1, n)
-    # jk mod 2n keeps the sine argument in [0, 2 pi) on large grids
-    Q = np.sqrt(2.0 / n) * np.sin((np.pi / n) * (np.outer(j, j) % (2 * n)))
-    mu = 2.0 / hx**2 + (4.0 / hy**2) * np.sin((0.5 * np.pi / n) * j) ** 2
-    c = 1.0 / hx**2
-    D = R @ Q
-    # G[i] holds the reciprocal pivot of row i
-    G = np.empty_like(D)
-    G[0] = 1.0 / mu
-    D[0] *= G[0]
-    for i in range(1, mx):
-        G[i] = 1.0 / (mu - c * c * G[i - 1])
-        D[i] = (D[i] + c * D[i - 1]) * G[i]
-    for i in range(mx - 2, -1, -1):
-        D[i] += c * G[i] * D[i + 1]
-    return D @ Q
+    return _sine_solver(*R.shape[-2:], hx, hy)(R)
+
+
+def _sine_solver(mx, my, hx, hy):
+    # sine_poisson with the sine matrices built once, for repeated solves
+    Qx, mu_x = _sine_basis(mx, hx)
+    Qy, mu_y = _sine_basis(my, hy)
+    lam = mu_x[:, None] + mu_y
+
+    def solve(R):
+        return Qx @ ((Qx @ R @ Qy) / lam) @ Qy
+
+    return solve
 
 
 def lap2d_apply(u, out, inv_hx2, inv_hy2):
-    # 5-point minus-Laplacian on the interior block, implicit zero boundary.
-    out[:] = (2.0 * inv_hx2 + 2.0 * inv_hy2) * u
-    out[1:, :] -= inv_hx2 * u[:-1, :]
-    out[:-1, :] -= inv_hx2 * u[1:, :]
-    out[:, 1:] -= inv_hy2 * u[:, :-1]
-    out[:, :-1] -= inv_hy2 * u[:, 1:]
+    # 5-point minus-Laplacian on the interior block, implicit zero boundary;
+    # leading axes of u, shaped (..., mx, my), are independent fields.
+    out[...] = (2.0 * inv_hx2 + 2.0 * inv_hy2) * u
+    out[..., 1:, :] -= inv_hx2 * u[..., :-1, :]
+    out[..., :-1, :] -= inv_hx2 * u[..., 1:, :]
+    out[..., :, 1:] -= inv_hy2 * u[..., :, :-1]
+    out[..., :, :-1] -= inv_hy2 * u[..., :, 1:]
     return out
+
+
+MINRES_RTOL = 1e-14  # preconditioned residual target, relative to the right-hand side
+LOCAL_RESIDUAL_TOL = 1e-10  # accepted true residual |R - A X|, relative to |R|
+
+
+def local_minres(R, P, coeff, hx, hy):
+    """Solve coeff*(-lap) X - P*X = R on an (mx, my) interior grid with
+    zero Dirichlet data, for k right-hand sides R shaped (k, mx, my).
+
+    The operator is symmetric but indefinite once P exceeds the low modes
+    of coeff*(-lap), so the solver is MINRES (Paige & Saunders, SIAM J.
+    Numer. Anal. 12, 1975; Elman, Silvester & Wathen, *Finite Elements and
+    Fast Iterative Solvers*, ch. 2) preconditioned by the SPD coeff*(-lap),
+    inverted exactly by the sine transform of ``sine_poisson``.  The
+    preconditioned operator is the identity minus a compact term, so the
+    iteration count does not grow with the grid.  The k columns run their
+    own Lanczos recurrences side by side, one stencil and one sine solve
+    per iteration for all of them, and each stops once its preconditioned
+    residual falls below MINRES_RTOL times its start.  Returns X shaped
+    like R.
+
+    The iteration is capped at 2*mx*my: exact arithmetic needs at most
+    mx*my, but round-off can delay tiny indefinite grids a few steps past
+    it.  After the stop, a column whose true residual |R - A X| exceeds
+    LOCAL_RESIDUAL_TOL |R|, or any non-finite X, raises
+    np.linalg.LinAlgError: the operator is singular or too close to it.
+    """
+    k, mx, my = R.shape
+    ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
+    Av = np.empty_like(R)
+
+    def apply(v):
+        lap2d_apply(v, Av, ihx2, ihy2)
+        return coeff * Av - P * v
+
+    def dot(a, b):
+        return np.sum(a * b, axis=(1, 2), keepdims=True)
+
+    poisson = _sine_solver(mx, my, hx, hy)
+    X = np.zeros_like(R)
+    # scalars are (k, 1, 1) arrays, one per column
+    zero = np.zeros((k, 1, 1))
+    r1 = r2 = R
+    y = poisson(R) / coeff
+    beta1 = beta = np.sqrt(np.maximum(dot(R, y), 0.0))
+    dbar = epsln = sn = zero
+    cs = np.full((k, 1, 1), -1.0)
+    phibar = beta1
+    w = w2 = np.zeros_like(R)
+    active = (phibar > MINRES_RTOL * beta1).ravel()
+    # a column that has converged (or broke down) keeps iterating on
+    # whatever its recurrence produces until the last one stops; its X is
+    # frozen, so a 0/0 there is harmless
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(2 * mx * my):
+            if not active.any():
+                break
+            v = y / beta
+            y = apply(v)
+            if it > 0:
+                y -= (beta / oldb) * r1
+            alfa = dot(v, y)
+            y -= (alfa / beta) * r2
+            r1, r2 = r2, y
+            y = poisson(r2) / coeff
+            oldb = beta
+            beta = np.sqrt(np.maximum(dot(r2, y), 0.0))
+            # QR of the Lanczos tridiagonal by one more Givens rotation
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = np.hypot(gbar, beta)
+            cs, sn = gbar / gamma, beta / gamma
+            phi = cs * phibar
+            phibar = sn * phibar
+            w1, w2 = w2, w
+            w = (v - oldeps * w1 - delta * w2) / gamma
+            X[active] += phi[active] * w[active]
+            active &= (phibar > MINRES_RTOL * beta1).ravel()
+    res = R - apply(X)
+    if not (np.all(np.isfinite(X))
+            and np.all(dot(res, res) <= LOCAL_RESIDUAL_TOL**2 * dot(R, R))):
+        raise np.linalg.LinAlgError("local operator is singular to working precision")
+    return X
 
 
 def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):

@@ -22,7 +22,7 @@ self-adjoint and its Dirichlet form matches ``h1_seminorm`` to rounding,
 which the solvers rely on when they differentiate the energy.
 
 Linear solves are direct: Thomas elimination on the tridiagonal 1-D
-operators; on rectangles a sine transform in y, tridiagonal in x
+operators; on rectangles a sine transform in both x and y
 (``_kernels.sine_poisson``), so no rectangle matrix is ever assembled or
 factored.
 
@@ -243,7 +243,7 @@ def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     """Solve minus-Laplacian u = rhs exactly (up to round-off).
 
     Tridiagonal elimination for interval/ball meshes; on rectangles a sine
-    transform in y, tridiagonal in x (``_kernels.sine_poisson``).
+    transform in x and in y (``_kernels.sine_poisson``).
     """
     vals = _values(mesh, rhs)
     if mesh.kind == "rectangle":
@@ -254,28 +254,11 @@ def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     return GridFunction(mesh, x)
 
 
-def rectangle_blocks(mesh: DomainMesh):
-    """The rectangle's 5-point minus-Laplacian in block-tridiagonal form.
-
-    Returns ``(T, c)``.  With the unknowns ordered like ``values.ravel()``,
-    block i is the x-row i, whose my nodes couple along y through the
-    (my, my) tridiagonal block T; neighbouring rows couple through c*I.
-    Only Newton's variable-potential operator coeff*(-lap) - diag(pot)
-    uses it; plain Poisson solves go through the sine transform.
-    """
-    hx, hy = mesh.spacing
-    ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
-    my = mesh.shape[1]
-    T = ((2.0 * ihx2 + 2.0 * ihy2) * np.eye(my)
-         - ihy2 * (np.eye(my, k=1) + np.eye(my, k=-1)))
-    return T, -ihx2
-
-
 def dense_operator(mesh: DomainMesh) -> np.ndarray:
     """Assemble the tridiagonal minus-Laplacian of an interval or ball as a
     dense matrix.  Rectangles have no dense form here: their Poisson solves
-    go through the sine transform, their Newton solves through
-    ``rectangle_blocks``."""
+    go through the sine transform, their Newton solves through MINRES
+    preconditioned by it (``_kernels.local_minres``)."""
     if mesh.kind == "rectangle":
         raise MeshError("dense_operator covers interval and ball meshes only")
     sub, diag, sup = mesh.stencil
@@ -341,7 +324,10 @@ def l2_inner(mesh: DomainMesh, u, v) -> float:
 # spectral constants
 
 
-EIGEN_TOL = 1e-10  # principal_eigenpair stops at 0.01 * EIGEN_TOL relative change
+# principal_eigenpair stops at 0.01 * EIGEN_TOL relative change of the
+# Rayleigh quotient; phi1 is then only accurate to about the square root of
+# that test, ~1e-7 in sup norm
+EIGEN_TOL = 1e-10
 EIGEN_MAX_ITER = 400
 SOBOLEV_TOL = 1e-8  # sobolev_minimizer's weighted-l2 gradient norm target
 SOBOLEV_MAX_ITER = 200000
@@ -353,6 +339,10 @@ def principal_eigenpair(mesh: DomainMesh):
     Inverse power iteration with Rayleigh-quotient estimates; the
     eigenvalue converges at the square of the eigenvector rate.  Fixed
     tolerance: successive estimates agree to 1e-12 relative, within 400 sweeps.
+    So the eigenvalue is accurate to about 1e-12 but phi1 only to about the
+    square root of that test, ~1e-7 in sup norm (2.5e-7 against the exact
+    discrete mode sin(pi x/Lx) sin(pi y/Ly) on rectangle (1.0, 1.5) at
+    (17, 13)).  phi1 only seeds iterates, where that does no harm.
     """
     v = np.ones(mesh.shape)
     lam = 0.0

@@ -9,11 +9,11 @@ Four procedures, matched to the exponent regimes:
 * ``newton_nonlocal``     -- damped Newton on the strong-form residual.
   The Jacobian is a local operator plus the rank-one term coming from
   differentiating |grad u|^{2 alpha}; solved with the rank-one update
-  formula around two local-operator solves, block-tridiagonal on
-  rectangles and dense on the 1-D meshes.  It stops converged, or with
-  one of "singular local operator", "rank-one update degenerate",
-  "damping below floor at residual ...", "iterates blew up" or
-  "max iterations reached" in ``message``.
+  formula around two local-operator solves, by sine-preconditioned
+  MINRES on rectangles and dense LU on the 1-D meshes.  It stops
+  converged, or with one of "singular local operator", "rank-one update
+  degenerate", "damping below floor at residual ...", "iterates blew up"
+  or "max iterations reached" in ``message``.
 * ``descent_minimize``    -- Armijo backtracking on the energy with the
   Poisson-preconditioned gradient, optionally confined to the trust ball
   |grad u| <= rho0 (regime B's local minimizer), with a guarded Newton
@@ -48,7 +48,6 @@ from .mesh import (
     h1_seminorm,
     lp_norm,
     poisson_solve,
-    rectangle_blocks,
     sup_norm,
 )
 from .problem import (
@@ -250,9 +249,11 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     combines them with the rank-one update formula.  Nodes with u <= 0
     carry zero potential derivative.
 
-    On rectangles the local part is 5-point, hence block tridiagonal, and
-    ``_kernels.block_tridiag_solve`` factors it in O(mx my^3) without
-    assembling it.  Interval and ball meshes keep the dense matvec and the
+    On rectangles ``_kernels.local_minres`` solves the local part for both
+    right-hand sides at once by MINRES, preconditioned by the sine-transform
+    Poisson solve: the potential is a compact perturbation of coeff*(-lap),
+    so a handful of iterations reach round-off, and nothing is assembled or
+    factored.  Interval and ball meshes keep the dense matvec and the
     dense LU: the tridiagonal kernels would change the round-off, and the
     energies of duplicate solutions in ``distinct_positive`` tie to every
     printed digit, so which duplicate is kept would change with it.
@@ -262,7 +263,8 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     Nonlinear Problems*, ch. 3), so a hopeless step costs 11 residuals.
     Stop reasons other than residual <= tol, in ``message``:
 
-    * "singular local operator" -- the local solve failed or was not finite;
+    * "singular local operator" -- the local solve failed (a singular LU,
+      or MINRES short of its true-residual check) or was not finite;
     * "rank-one update degenerate" -- the rank-one denominator vanished;
     * "damping below floor at residual R" -- no trial step down to the
       floor reduced the residual;
@@ -273,8 +275,6 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     lam_f = forcing_values(mesh, params).ravel()
     u = _values(mesh, initial).ravel().copy()
     scale = 1.0 + float(np.max(np.abs(lam_f)))
-    if mesh.kind == "rectangle":
-        T, c = rectangle_blocks(mesh)
     history = []
     for it in range(config.max_iter):
         A, w, Lu, K, coeff, up, F = _newton_pieces(mesh, params, lam_f, u)
@@ -291,9 +291,9 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
         rhs = np.column_stack((-F, Lu))
         try:
             if A is None:
-                X = _kernels.block_tridiag_solve(
-                    coeff * T, coeff * c, pot.reshape(mesh.shape),
-                    rhs.reshape(*mesh.shape, 2)).reshape(-1, 2)
+                X = _kernels.local_minres(
+                    rhs.T.reshape(2, *mesh.shape), pot.reshape(mesh.shape), coeff,
+                    *mesh.spacing).reshape(2, -1).T
             else:
                 X = np.linalg.solve(coeff * A - np.diag(pot), rhs)
         except np.linalg.LinAlgError:

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kirchhoff_lab
 from kirchhoff_lab import _kernels
@@ -21,10 +23,11 @@ from kirchhoff_lab.mesh import (
     lp_norm,
     poisson_solve,
     principal_eigenpair,
-    rectangle_blocks,
     sobolev_constant,
     sup_norm,
 )
+from kirchhoff_lab.problem import ProblemParams
+from kirchhoff_lab.solvers import SolverConfig, newton_nonlocal
 
 
 def random_field(mesh, rng, nonneg=False):
@@ -204,16 +207,30 @@ def test_dense_operator_matches_apply():
         dense_operator(rect)
 
 
+def negative_eigenvalue_count(M, my):
+    """Negative eigenvalues of a symmetric block-tridiagonal M with (my, my)
+    blocks: by Haynsworth's inertia additivity they are those of its Schur
+    blocks S_0 = D_0, S_i = D_i - C_i S_{i-1}^{-1} C_i^T.  Seconds cheaper
+    than eigvalsh of the whole matrix at 63x63."""
+    count = 0
+    S = None
+    for i in range(0, M.shape[0], my):
+        D = M[i:i + my, i:i + my]
+        S = D if S is None else D - M[i:i + my, i - my:i] @ np.linalg.solve(
+            S, M[i - my:i, i:i + my])
+        count += int(np.sum(np.linalg.eigvalsh(S) < 0.0))
+    return count
+
+
 @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_block_tridiag_solve_matches_dense(definite, k):
-    # 7x11 interior nodes, hx = 1/8 != hy = 1/6; D_i = T - diag(P[i]) with
-    # T = coeff * (rectangle row block), off-diagonal blocks coeff * c * I
+def test_local_minres_matches_dense(definite, k):
+    # 7x11 interior nodes, hx = 1/8 != hy = 1/6; the local Newton operator
+    # coeff*(-lap) - diag(P), definite or with negative eigenvalues
     mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
     mx, my = mesh.shape
     rng = np.random.default_rng(5 + k)
     coeff = 2.5
-    T, c = rectangle_blocks(mesh)
     if definite:
         P = -rng.uniform(0.0, 50.0, mesh.shape)
     else:
@@ -221,17 +238,79 @@ def test_block_tridiag_solve_matches_dense(definite, k):
     M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
     eigs = np.linalg.eigvalsh(M)
     assert (eigs.min() > 0.0) == definite
-    R = rng.standard_normal((mx, my, k))
-    X = _kernels.block_tridiag_solve(coeff * T, coeff * c, P, R)
-    ref = np.linalg.solve(M, R.reshape(mx * my, k)).reshape(mx, my, k)
+    R = rng.standard_normal((k, mx, my))
+    X = _kernels.local_minres(R, P, coeff, *mesh.spacing)
+    ref = np.linalg.solve(M, R.reshape(k, -1).T).T.reshape(R.shape)
     assert X.shape == R.shape
     assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_block_tridiag_solve_singular_first_block():
-    T = np.ones((3, 3))  # rank one: LU meets an exactly zero pivot
+def test_local_minres_matches_dense_many_negative_eigenvalues():
+    # 63x63 interior nodes, P ~ U(0, 21 coeff lam1): about as many negative
+    # eigenvalues as modes with lam_ij < 10.5 lam1, 13 on the unit square
+    # (13 for this draw)
+    mesh = build_mesh("rectangle", (1.0, 1.0), (65, 65))
+    mx, my = mesh.shape
+    rng = np.random.default_rng(63)
+    coeff = 1.7
+    P = rng.uniform(0.0, 21.0 * coeff * principal_eigenpair(mesh)[0], mesh.shape)
+    M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
+    assert 10 <= negative_eigenvalue_count(M, my) <= 16
+    R = rng.standard_normal((2, mx, my))
+    X = _kernels.local_minres(R, P, coeff, *mesh.spacing)
+    ref = np.linalg.solve(M, R.reshape(2, -1).T).T.reshape(R.shape)
+    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def discrete_lam1(mesh):
+    """Exact first eigenvalue of the rectangle's 5-point minus-Laplacian."""
+    (mx, my), (hx, hy) = mesh.shape, mesh.spacing
+    return ((4.0 / hx**2) * np.sin(0.5 * np.pi / (mx + 1)) ** 2
+            + (4.0 / hy**2) * np.sin(0.5 * np.pi / (my + 1)) ** 2)
+
+
+def test_local_minres_singular_reports_failure():
+    # P = coeff * lam1 at the exact discrete lam1 leaves the operator with
+    # the null vector sin(pi x) sin(pi y); a random R is not in its range
+    mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
+    coeff = 2.5
+    P = np.full(mesh.shape, coeff * discrete_lam1(mesh))
+    R = np.random.default_rng(11).standard_normal((1, *mesh.shape))
     with pytest.raises(np.linalg.LinAlgError):
-        _kernels.block_tridiag_solve(T, 1.0, np.zeros((4, 3)), np.ones((4, 3, 1)))
+        _kernels.local_minres(R, P, coeff, *mesh.spacing)
+
+
+@given(
+    mx=st.integers(2, 40),
+    my=st.integers(2, 40),
+    Lx=st.floats(0.5, 2.0),
+    Ly=st.floats(0.5, 2.0),
+    coeff=st.floats(0.5, 3.0),
+    shift=st.floats(-4.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_local_minres_and_sine_poisson_on_random_rectangles(mx, my, Lx, Ly, coeff,
+                                                            shift, seed):
+    # shift < 0 gives a definite operator; up to 8 coeff*lam1 it has several
+    # negative eigenvalues
+    mesh = build_mesh("rectangle", (Lx, Ly), (mx + 2, my + 2))
+    hx, hy = mesh.spacing
+    assume(abs(hx - hy) > 1e-3 * max(hx, hy))
+    rng = np.random.default_rng(seed)
+    lam1 = discrete_lam1(mesh)
+    P = shift * coeff * lam1 * rng.uniform(0.0, 1.0, mesh.shape)
+    M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
+    # an eigenvalue within round-off of zero makes the comparison meaningless
+    assume(np.min(np.abs(np.linalg.eigvalsh(M))) >= 1e-3 * coeff * lam1)
+    R = rng.standard_normal((2, mx, my))
+    X = _kernels.local_minres(R, P, coeff, hx, hy)
+    ref = np.linalg.solve(M, R.reshape(2, -1).T).T.reshape(R.shape)
+    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+    U = _kernels.sine_poisson(R, hx, hy)
+    for Ui, Ri in zip(U, R):
+        np.testing.assert_allclose(Ui, _kernels.sine_poisson(Ri, hx, hy),
+                                   rtol=0.0, atol=1e-14 * np.max(np.abs(Ui)))
 
 
 @pytest.mark.parametrize(
@@ -254,17 +333,22 @@ def test_rectangle_poisson_matches_assembled(extents, resolution):
 
 
 def test_rectangle_poisson_factors_nothing(monkeypatch):
-    # the sine transform needs no LU: the Poisson solve and the per-mesh
-    # constants built on it must not fall back to a factorization
+    # the sine transform needs no LU: the Poisson solve, the per-mesh
+    # constants built on it and Newton's local solves must not fall back to
+    # a factorization
     def boom(*args, **kwargs):
-        raise AssertionError("rectangle Poisson solve factored a matrix")
+        raise AssertionError("rectangle solve factored a matrix")
 
-    monkeypatch.setattr(_kernels, "block_tridiag_solve", boom)
-    monkeypatch.setattr(np.linalg, "solve", boom)
+    for name in ("solve", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, boom)
     mesh = build_mesh("rectangle", (1.0, 1.5), (17, 13))
     poisson_solve(mesh, np.ones(mesh.shape))
     assert np.min(kirchhoff_lab.constants.torsion(mesh).values) > 0.0
     principal_eigenpair(mesh)
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0,
+                           f=GridFunction(mesh, np.ones(mesh.shape)))
+    out = newton_nonlocal(mesh, params, SolverConfig(tol=1e-9), mesh.zeros())
+    assert out.converged and out.iterations >= 2
 
 
 def test_rectangle_eigenfunction_consistency():

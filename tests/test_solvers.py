@@ -312,6 +312,26 @@ def test_newton_recovers_manufactured_solution_on_rectangle():
     assert out.positivity == "strictly-positive"
 
 
+def test_newton_reports_singular_local_operator_on_rectangle():
+    # u = c at every interior node with p = 3, alpha = 1: the potential is
+    # 3c^2 everywhere and coeff = 1 + b c^2 K1, so choosing
+    # c^2 = lam1 / (3 - b K1 lam1) makes the local part coeff*(-lap - lam1),
+    # singular at the exact discrete lam1
+    mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
+    (mx, my), (hx, hy) = mesh.shape, mesh.spacing
+    lam1 = ((4.0 / hx**2) * np.sin(0.5 * np.pi / (mx + 1)) ** 2
+            + (4.0 / hy**2) * np.sin(0.5 * np.pi / (my + 1)) ** 2)
+    one = np.ones(mesh.shape)
+    K1 = float(np.sum(mesh.weights * laplacian_apply(mesh, one).values))
+    b = 0.5 / (K1 * lam1)
+    c = np.sqrt(lam1 / (3.0 - b * K1 * lam1))
+    params = ProblemParams(b=b, alpha=1.0, p=3.0, lam=0.0)
+    out = newton_nonlocal(mesh, params, SolverConfig(), GridFunction(mesh, c * one))
+    assert not out.converged
+    assert out.message == "singular local operator"
+    assert out.iterations == 0
+
+
 def test_newton_residual_matches_gradient_supnorm(interval):
     params, psi = manufactured(interval)
     out = newton_nonlocal(interval, params, SolverConfig(),
