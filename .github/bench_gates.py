@@ -1,0 +1,56 @@
+"""Check the last line of a traced all-workload benchmark run against its gates.
+
+    python3 perfbench/run.py --workload all --seed 42 --seconds 1 --trace 1 \
+        | tail -n 1 | python3 .github/bench_gates.py
+
+The run must be ``correct`` with no failed experiment, and every gated
+metric, keyed ``{workload}.{metric}``, must be present and within its
+bound.  The counts do not depend on the machine; the one self time
+(newton-2d Poisson solves) has a bound far above its measured value.
+Exits 1 when any check fails.
+"""
+
+import json
+import sys
+
+# metric -> largest accepted value
+GATES = {
+    # shooting-oracle shots
+    "radial-oracle.kernels.rk4.calls": 49,
+    # Picard and descent run once per vote; energy evaluations of the
+    # round-off-aware descent line search
+    "newton-1d.solvers.picard.calls": 47,
+    "newton-1d.solvers.descent.calls": 47,
+    "newton-1d.energy.eval.calls": 2000,
+    # the saddle search is one Newton solve
+    "mountain-pass.energy.eval.calls": 3,
+    # rectangle Poisson solves by sine transform, Newton steps, and the
+    # stencil applications of Newton and its MINRES solves
+    "newton-2d.mesh.poisson_solve.self_s": 0.03,
+    "newton-2d.solvers.newton.steps": 42,
+    "newton-2d.kernels.lap2d.calls": 300,
+}
+
+
+def failures(run: dict) -> list[str]:
+    bad = []
+    if run.get("correct") is not True or run.get("failed") != 0:
+        bad.append(f"correct={run.get('correct')} failed={run.get('failed')}")
+    metrics = run.get("metrics", {})
+    for name, bound in GATES.items():
+        value = metrics.get(name, {}).get("value")
+        ok = value is not None and value <= bound
+        print(f"{name} = {value} (<= {bound}): {'PASS' if ok else 'FAIL'}")
+        if not ok:
+            bad.append(name)
+    return bad
+
+
+def main() -> int:
+    bad = failures(json.loads(sys.stdin.read().strip().splitlines()[-1]))
+    print("gates:", "FAIL " + ", ".join(bad) if bad else "PASS")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

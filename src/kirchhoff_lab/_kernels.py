@@ -1,9 +1,10 @@
 """Hot numerical kernels: the tridiagonal apply and solve, the 2-D
 5-point stencil, its fast Poisson solve by double sine transform
 (``sine_poisson``), the MINRES solve of the stencil shifted by a
-variable potential (``local_minres``, preconditioned by that transform),
-and the radial RK4 shot, in numpy and plain Python.  No rectangle matrix
-is assembled or factored.
+variable potential and a symmetric rank-one term (``local_minres``,
+preconditioned by that transform), and the radial RK4 shot, in numpy and
+plain Python.  The 2-D kernels take one (mx, my) field; no rectangle
+matrix is assembled or factored.
 
 The two scalar loops, ``thomas_solve`` and ``rk4_radial``, run on Python
 floats rather than numpy scalars: the doubles and the expression order
@@ -65,7 +66,6 @@ def _sine_basis(m, h):
 def sine_poisson(R, hx, hy):
     """Solve the 5-point minus-Laplacian system on an (mx, my) interior
     grid with zero Dirichlet data: right-hand side R, spacings hx, hy.
-    Leading axes of R, shaped (..., mx, my), are independent systems.
 
     The operator is a Kronecker sum of two second differences, so the
     orthonormal sine matrices Qx and Qy diagonalise it with eigenvalues
@@ -73,7 +73,7 @@ def sine_poisson(R, hx, hy):
     1970): U = Qx ((Qx R Qy) / (mu_x[i] + mu_y[j])) Qy, four matmuls and
     O(mx my (mx + my)) work.
     """
-    return _sine_solver(*R.shape[-2:], hx, hy)(R)
+    return _sine_solver(*R.shape, hx, hy)(R)
 
 
 def _sine_solver(mx, my, hx, hy):
@@ -89,101 +89,91 @@ def _sine_solver(mx, my, hx, hy):
 
 
 def lap2d_apply(u, out, inv_hx2, inv_hy2):
-    # 5-point minus-Laplacian on the interior block, implicit zero boundary;
-    # leading axes of u, shaped (..., mx, my), are independent fields.
-    out[...] = (2.0 * inv_hx2 + 2.0 * inv_hy2) * u
-    out[..., 1:, :] -= inv_hx2 * u[..., :-1, :]
-    out[..., :-1, :] -= inv_hx2 * u[..., 1:, :]
-    out[..., :, 1:] -= inv_hy2 * u[..., :, :-1]
-    out[..., :, :-1] -= inv_hy2 * u[..., :, 1:]
+    # 5-point minus-Laplacian of an (mx, my) field, implicit zero boundary
+    out[:] = (2.0 * inv_hx2 + 2.0 * inv_hy2) * u
+    out[1:, :] -= inv_hx2 * u[:-1, :]
+    out[:-1, :] -= inv_hx2 * u[1:, :]
+    out[:, 1:] -= inv_hy2 * u[:, :-1]
+    out[:, :-1] -= inv_hy2 * u[:, 1:]
     return out
 
 
 MINRES_RTOL = 1e-14  # preconditioned residual target, relative to the right-hand side
-LOCAL_RESIDUAL_TOL = 1e-10  # accepted true residual |R - A X|, relative to |R|
+LOCAL_RESIDUAL_TOL = 1e-10  # accepted true residual |r - A x|, relative to |r|
 
 
-def local_minres(R, P, coeff, hx, hy):
-    """Solve coeff*(-lap) X - P*X = R on an (mx, my) interior grid with
-    zero Dirichlet data, for k right-hand sides R shaped (k, mx, my).
+def local_minres(r, P, coeff, hx, hy, v, kappa):
+    """Solve coeff*(-lap) x - P*x + kappa*v*<v, x> = r for one field x on
+    an (mx, my) interior grid with zero Dirichlet data; r, P and v are
+    (mx, my) arrays and <v, x> is the plain sum of v*x.
 
     The operator is symmetric but indefinite once P exceeds the low modes
     of coeff*(-lap), so the solver is MINRES (Paige & Saunders, SIAM J.
     Numer. Anal. 12, 1975; Elman, Silvester & Wathen, *Finite Elements and
     Fast Iterative Solvers*, ch. 2) preconditioned by the SPD coeff*(-lap),
     inverted exactly by the sine transform of ``sine_poisson``.  The
-    preconditioned operator is the identity minus a compact term, so the
-    iteration count does not grow with the grid.  The k columns run their
-    own Lanczos recurrences side by side, one stencil and one sine solve
-    per iteration for all of them, and each stops once its preconditioned
-    residual falls below MINRES_RTOL times its start.  Returns X shaped
-    like R.
+    potential and the rank-one term make the preconditioned operator the
+    identity plus a compact term, so the iteration count does not grow
+    with the grid.  One iteration costs one stencil, one sine solve and
+    three dot products; it stops once the preconditioned residual falls
+    below MINRES_RTOL times its start.
 
     The iteration is capped at 2*mx*my: exact arithmetic needs at most
     mx*my, but round-off can delay tiny indefinite grids a few steps past
-    it.  After the stop, a column whose true residual |R - A X| exceeds
-    LOCAL_RESIDUAL_TOL |R|, or any non-finite X, raises
+    it.  After the stop, a true residual |r - A x| above
+    LOCAL_RESIDUAL_TOL |r|, or a non-finite x, raises
     np.linalg.LinAlgError: the operator is singular or too close to it.
     """
-    k, mx, my = R.shape
+    mx, my = r.shape
     ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
-    Av = np.empty_like(R)
+    Aq = np.empty_like(r)
 
-    def apply(v):
-        lap2d_apply(v, Av, ihx2, ihy2)
-        return coeff * Av - P * v
-
-    def dot(a, b):
-        return np.sum(a * b, axis=(1, 2), keepdims=True)
+    def apply(q):
+        lap2d_apply(q, Aq, ihx2, ihy2)
+        return coeff * Aq - P * q + (kappa * np.vdot(v, q)) * v
 
     poisson = _sine_solver(mx, my, hx, hy)
-    X = np.zeros_like(R)
-    # scalars are (k, 1, 1) arrays, one per column
-    zero = np.zeros((k, 1, 1))
-    r1 = r2 = R
-    y = poisson(R) / coeff
-    beta1 = beta = np.sqrt(np.maximum(dot(R, y), 0.0))
-    dbar = epsln = sn = zero
-    cs = np.full((k, 1, 1), -1.0)
+    # numpy scalars: a zero gamma (singular tridiagonal) gives nan for the
+    # check below, where Python floats would raise ZeroDivisionError
+    x = np.zeros_like(r)
+    r1 = r2 = r
+    y = poisson(r) / coeff
+    beta1 = beta = np.sqrt(max(np.vdot(r, y), 0.0))
+    dbar = epsln = sn = 0.0
+    cs = -1.0
     phibar = beta1
-    w = w2 = np.zeros_like(R)
-    active = (phibar > MINRES_RTOL * beta1).ravel()
-    # a column that has converged (or broke down) keeps iterating on
-    # whatever its recurrence produces until the last one stops; its X is
-    # frozen, so a 0/0 there is harmless
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(2 * mx * my):
-            if not active.any():
-                break
-            v = y / beta
-            y = apply(v)
-            if it > 0:
-                y -= (beta / oldb) * r1
-            alfa = dot(v, y)
-            y -= (alfa / beta) * r2
-            r1, r2 = r2, y
-            y = poisson(r2) / coeff
-            oldb = beta
-            beta = np.sqrt(np.maximum(dot(r2, y), 0.0))
-            # QR of the Lanczos tridiagonal by one more Givens rotation
-            oldeps = epsln
-            delta = cs * dbar + sn * alfa
-            gbar = sn * dbar - cs * alfa
-            epsln = sn * beta
-            dbar = -cs * beta
-            gamma = np.hypot(gbar, beta)
-            cs, sn = gbar / gamma, beta / gamma
-            phi = cs * phibar
-            phibar = sn * phibar
-            w1, w2 = w2, w
-            w = (v - oldeps * w1 - delta * w2) / gamma
-            X[active] += phi[active] * w[active]
-            active &= (phibar > MINRES_RTOL * beta1).ravel()
-    res = R - apply(X)
-    if not (np.all(np.isfinite(X))
-            and np.all(dot(res, res) <= LOCAL_RESIDUAL_TOL**2 * dot(R, R))):
+    w = w2 = np.zeros_like(r)
+    for it in range(2 * mx * my):
+        if phibar <= MINRES_RTOL * beta1:
+            break
+        q = y / beta
+        y = apply(q)
+        if it > 0:
+            y -= (beta / oldb) * r1
+        alfa = np.vdot(q, y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = poisson(r2) / coeff
+        oldb = beta
+        beta = np.sqrt(max(np.vdot(r2, y), 0.0))
+        # QR of the Lanczos tridiagonal by one more Givens rotation
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = np.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w1, w2 = w2, w
+        w = (q - oldeps * w1 - delta * w2) / gamma
+        x += phi * w
+    res = r - apply(x)
+    if not (np.all(np.isfinite(x))
+            and np.vdot(res, res) <= LOCAL_RESIDUAL_TOL**2 * np.vdot(r, r)):
         raise np.linalg.LinAlgError("local operator is singular to working precision")
-    return X
+    return x
 
 
 def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):

@@ -28,12 +28,10 @@ from .solvers import (
     SolveOutcome,
     SolverConfig,
     battery,
-    descent_minimize,
     distinct_positive,
     mountain_pass_search,
     multi_start,
     newton_nonlocal,
-    picard_iterate,
     unforced_solution,
 )
 from .verify import _homogeneous_probes
@@ -83,13 +81,13 @@ def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
     for lam in lam_grid:
         p_lam = replace(params, lam=lam)
         outcomes = [newton_nonlocal(mesh, p_lam, config, u0) for u0 in prev]
-        # descent before Picard: distinct_positive breaks exact energy ties
-        # by input order, so this order decides the solver cells
-        for solver in (descent_minimize, picard_iterate, mountain_pass_search):
-            try:
-                outcomes.append(solver(mesh, p_lam, config))
-            except KirchhoffLabError:
-                pass
+        # reversed, descent before Picard: distinct_positive breaks exact
+        # energy ties by input order, so this order decides the solver cells
+        outcomes += battery(mesh, p_lam, config)[::-1]
+        try:
+            outcomes.append(mountain_pass_search(mesh, p_lam, config))
+        except KirchhoffLabError:
+            pass
         kept = distinct_positive(outcomes, config.tol)
         if kept:
             points.extend(_point(lam, o, mesh) for o in kept)
@@ -109,6 +107,7 @@ def sweep_lambda(mesh: DomainMesh, params: ProblemParams, lam_grid,
 
 # estimate_Lambda_f shrinks its bracket to this upper/lower ratio
 TARGET_RATIO = 1.1
+LAM_MAX = 1e9  # no failed vote up to here leaves the bracket open
 
 
 @dataclass(frozen=True)
@@ -141,12 +140,12 @@ def _vote(mesh, params, config, warm):
 
 
 def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
-                      config: SolverConfig, lam_max: float = 1e9) -> ThresholdEstimate:
+                      config: SolverConfig) -> ThresholdEstimate:
     """Bracket the largest solvable lambda by geometric bisection.
 
     Starts from params.lam, or 1 when it is 0 (halving until a solvable
     point is found), doubles until a vote fails, then shrinks the bracket to
-    ``TARGET_RATIO``.  If nothing fails below ``lam_max`` the upper
+    ``TARGET_RATIO``.  If nothing fails below ``LAM_MAX`` the upper
     bracket is reported open (inf) rather than invented.
     """
     letter = regime_letter(params, mesh.dim)
@@ -179,10 +178,10 @@ def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
     else:
         raise ConvergenceError("no solvable lambda found while halving")
     hi = lo * 2.0
-    while hi <= lam_max and probe(hi):
+    while hi <= LAM_MAX and probe(hi):
         lo, hi = hi, hi * 2.0
-    if hi > lam_max:
-        hi = math.inf  # nothing failed below lam_max: the bracket stays open
+    if hi > LAM_MAX:
+        hi = math.inf  # nothing failed below LAM_MAX: the bracket stays open
     while math.isfinite(hi) and hi / lo > TARGET_RATIO:
         mid = math.sqrt(lo * hi)
         if probe(mid):

@@ -257,8 +257,8 @@ def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
 def dense_operator(mesh: DomainMesh) -> np.ndarray:
     """Assemble the tridiagonal minus-Laplacian of an interval or ball as a
     dense matrix.  Rectangles have no dense form here: their Poisson solves
-    go through the sine transform, their Newton solves through MINRES
-    preconditioned by it (``_kernels.local_minres``)."""
+    go through the sine transform, their whole Newton Jacobian through
+    MINRES preconditioned by it (``_kernels.local_minres``)."""
     if mesh.kind == "rectangle":
         raise MeshError("dense_operator covers interval and ball meshes only")
     sub, diag, sup = mesh.stencil

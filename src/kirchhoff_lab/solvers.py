@@ -8,12 +8,12 @@ Four procedures, matched to the exponent regimes:
   0 <= u_n <= psi0 at every step; the only tool that survives regime C.
 * ``newton_nonlocal``     -- damped Newton on the strong-form residual.
   The Jacobian is a local operator plus the rank-one term coming from
-  differentiating |grad u|^{2 alpha}; solved with the rank-one update
-  formula around two local-operator solves, by sine-preconditioned
-  MINRES on rectangles and dense LU on the 1-D meshes.  It stops
-  converged, or with one of "singular local operator", "rank-one update
-  degenerate", "damping below floor at residual ...", "iterates blew up"
-  or "max iterations reached" in ``message``.
+  differentiating |grad u|^{2 alpha}; one sine-preconditioned MINRES
+  solve takes it whole on rectangles, dense LU plus Sherman-Morrison on
+  the 1-D meshes.  It stops converged, or with one of "singular local
+  operator", "rank-one update degenerate" (1-D only), "damping below
+  floor at residual ...", "iterates blew up" or "max iterations reached"
+  in ``message``.
 * ``descent_minimize``    -- Armijo backtracking on the energy with the
   Poisson-preconditioned gradient, optionally confined to the trust ball
   |grad u| <= rho0 (regime B's local minimizer), with a guarded Newton
@@ -244,28 +244,30 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     """Damped Newton on F(u) = (1 + b K^alpha)(-lap u) - (u_+)^p - lam f.
 
     K = <u, -lap u> is the squared seminorm, so dK = 2 W(-lap u) and the
-    Jacobian is (local part) + rank-one; the step solves the local part
-    coeff*(-lap) - diag(p u_+^{p-1}) against both right-hand sides and
-    combines them with the rank-one update formula.  Nodes with u <= 0
-    carry zero potential derivative.
+    Jacobian is the local part coeff*(-lap) - diag(p u_+^{p-1}) plus the
+    rank-one term kappa (-lap u) <W(-lap u), .>, kappa = 2 alpha b
+    K^{alpha-1}.  Nodes with u <= 0 carry zero potential derivative.
 
-    On rectangles ``_kernels.local_minres`` solves the local part for both
-    right-hand sides at once by MINRES, preconditioned by the sine-transform
-    Poisson solve: the potential is a compact perturbation of coeff*(-lap),
-    so a handful of iterations reach round-off, and nothing is assembled or
-    factored.  Interval and ball meshes keep the dense matvec and the
-    dense LU: the tridiagonal kernels would change the round-off, and the
-    energies of duplicate solutions in ``distinct_positive`` tie to every
-    printed digit, so which duplicate is kept would change with it.
+    On rectangles W = hx*hy, so the whole Jacobian is symmetric and one
+    MINRES run (``_kernels.local_minres``, preconditioned by the sine
+    transform) solves it: potential and rank-one term are a compact
+    perturbation of coeff*(-lap), so a handful of iterations reach
+    round-off, and nothing is assembled or factored.  Interval and ball
+    meshes keep the dense matvec and a dense LU of the local part for
+    (-F, -lap u), combined by Sherman-Morrison: the tridiagonal kernels
+    would change the round-off, and the energies of duplicate solutions in
+    ``distinct_positive`` tie to every printed digit, so which duplicate
+    is kept would change with it.
 
     Each step backtracks from the full step, halving the fraction s while
     s >= DAMPING_FLOOR (Deuflhard's damping floor, *Newton Methods for
     Nonlinear Problems*, ch. 3), so a hopeless step costs 11 residuals.
     Stop reasons other than residual <= tol, in ``message``:
 
-    * "singular local operator" -- the local solve failed (a singular LU,
-      or MINRES short of its true-residual check) or was not finite;
-    * "rank-one update degenerate" -- the rank-one denominator vanished;
+    * "singular local operator" -- the solve failed (a singular LU, or
+      MINRES short of its true-residual check) or was not finite;
+    * "rank-one update degenerate" -- the 1-D Sherman-Morrison denominator
+      vanished;
     * "damping below floor at residual R" -- no trial step down to the
       floor reduced the residual;
     * "iterates blew up" -- the accepted iterate left 1e12 times the
@@ -284,31 +286,33 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
             return _outcome(mesh, params, u.reshape(mesh.shape), "newton", it,
                             config, True, history=history)
         pot = np.where(u > 0.0, params.p * up ** (params.p - 1.0), 0.0)
-        if K > 0.0:
-            q = (2.0 * params.alpha * params.b * K ** (params.alpha - 1.0)) * (w * Lu)
-        else:
-            q = np.zeros_like(u)
-        rhs = np.column_stack((-F, Lu))
+        kappa = (2.0 * params.alpha * params.b * K ** (params.alpha - 1.0)
+                 if K > 0.0 else 0.0)
         try:
             if A is None:
+                hx, hy = mesh.spacing
                 X = _kernels.local_minres(
-                    rhs.T.reshape(2, *mesh.shape), pot.reshape(mesh.shape), coeff,
-                    *mesh.spacing).reshape(2, -1).T
+                    -F.reshape(mesh.shape), pot.reshape(mesh.shape), coeff, hx, hy,
+                    Lu.reshape(mesh.shape), kappa * hx * hy)
             else:
-                X = np.linalg.solve(coeff * A - np.diag(pot), rhs)
+                X = np.linalg.solve(coeff * A - np.diag(pot), np.column_stack((-F, Lu)))
         except np.linalg.LinAlgError:
             X = None
         if X is None or not np.all(np.isfinite(X)):
             return _outcome(mesh, params, u.reshape(mesh.shape), "newton", it,
                             config, False, message="singular local operator",
                             history=history)
-        x1, x2 = X[:, 0], X[:, 1]
-        denom = 1.0 + float(q @ x2)
-        if abs(denom) < 1e-14:
-            return _outcome(mesh, params, u.reshape(mesh.shape), "newton", it,
-                            config, False, message="rank-one update degenerate",
-                            history=history)
-        delta = x1 - x2 * (float(q @ x1) / denom)
+        if A is None:
+            delta = X.ravel()
+        else:
+            x1, x2 = X.T
+            q = kappa * (w * Lu)
+            denom = 1.0 + float(q @ x2)
+            if abs(denom) < 1e-14:
+                return _outcome(mesh, params, u.reshape(mesh.shape), "newton", it,
+                                config, False, message="rank-one update degenerate",
+                                history=history)
+            delta = x1 - x2 * (float(q @ x1) / denom)
         s = 1.0
         while s >= DAMPING_FLOOR:
             trial = u + s * delta
@@ -399,6 +403,10 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
       the ball (or in regime A), e.g. when tol is below round-off;
     * "max iterations reached", with "; iterate pinned to the trust-ball
       boundary" appended when the last iterate lies on the sphere.
+
+    At these exits a better Newton handoff (unconverged, strictly positive,
+    inside the ball, smaller residual) replaces the iterate, relabelled,
+    with "; kept newton handoff at residual R" appended.
     """
     regime = regime_letter(params, mesh.dim)
     if regime == "C":
@@ -420,6 +428,7 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
     step = 1.0
     history = []
     newton_after = 0
+    kept = None  # best unconverged, strictly positive handoff inside the ball
     for it in range(1, config.max_iter + 1):
         g = energy_gradient(mesh, params, GridFunction(mesh, u))
         res = sup_norm(mesh, g)
@@ -429,15 +438,17 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
                             history=history)
         if res <= 1e-3 * scale and it >= newton_after:
             cand = newton_nonlocal(mesh, params, config, GridFunction(mesh, u))
-            ok = cand.converged and cand.energy.total <= I_cur + 1e-9 * (1 + abs(I_cur))
-            if ok and ball and cand.seminorm > rho0 * (1 + 1e-12):
-                ok = False
-            if ok:
+            inside = not (ball and cand.seminorm > rho0 * (1 + 1e-12))
+            if (inside and cand.converged
+                    and cand.energy.total <= I_cur + 1e-9 * (1 + abs(I_cur))):
                 return replace(
                     cand, solver="descent", iterations=it + cand.iterations,
                     message="newton handoff",
                     residual_history=tuple(history) + cand.residual_history,
                 )
+            if (inside and not cand.converged and cand.positivity == "strictly-positive"
+                    and (kept is None or cand.residual < kept.residual)):
+                kept = cand
             newton_after = it + 50
         d = poisson_solve(mesh, g).values
         gd = float(np.sum(mesh.weights * g.values * d))
@@ -462,18 +473,23 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
                 break
             s *= 0.5
         if not accepted:
-            pinned = ball and h1_seminorm(mesh, u) >= rho0 * (1 - 1e-8)
-            msg = ("minimizer pinned to the trust-ball boundary" if pinned
-                   else f"line search stalled at residual {res:.3e}")
-            return _outcome(mesh, params, u, "descent", it, config, False,
-                            message=msg, history=history)
+            break
         step = min(s * 2.0, 1e3)
     pinned = ball and h1_seminorm(mesh, u) >= rho0 * (1 - 1e-8)
-    msg = "max iterations reached"
-    if pinned:
-        msg += "; iterate pinned to the trust-ball boundary"
-    return _outcome(mesh, params, u, "descent", config.max_iter, config, False,
-                    message=msg, history=history)
+    if not accepted:
+        msg = ("minimizer pinned to the trust-ball boundary" if pinned
+               else f"line search stalled at residual {res:.3e}")
+    else:
+        msg = "max iterations reached"
+        if pinned:
+            msg += "; iterate pinned to the trust-ball boundary"
+    out = _outcome(mesh, params, u, "descent", it, config, False, message=msg,
+                   history=history)
+    if kept is not None and kept.residual < out.residual:
+        msg += f"; kept newton handoff at residual {kept.residual:.3e}"
+        out = replace(kept, solver="descent", iterations=it, message=msg,
+                      residual_history=out.residual_history)
+    return out
 
 
 # ---------------------------------------------------------------------------

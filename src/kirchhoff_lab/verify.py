@@ -165,14 +165,6 @@ def transformed_gradient_bound(mesh: DomainMesh, params: ProblemParams, u,
 # shooting oracle
 
 
-def _shoot_profile(a, h_s, nsteps, dim, p, c_pow, c_f, f_half):
-    u = np.empty(nsteps + 1)
-    du = np.empty(nsteps + 1)
-    rk4_radial(float(a), h_s, nsteps, dim, float(p), float(c_pow), float(c_f),
-               f_half, u, du)
-    return u, du
-
-
 def _simpson(y: np.ndarray, h: float) -> float:
     n = len(y) - 1
     if n % 2:
@@ -183,6 +175,7 @@ def _simpson(y: np.ndarray, h: float) -> float:
 
 # RK4 steps per grid spacing (per half spacing on the mirrored interval)
 REFINE = 8
+MAX_OUTER = 300  # inner solves before kirchhoff_shooting gives up
 
 
 class _ShootingSetup:
@@ -217,11 +210,11 @@ class _ShootingSetup:
         self.mesh = mesh
 
     def shoot(self, a, p, c_pow, c_f):
-        return _shoot_profile(a, self.h_s, self.nsteps, self.dim, p, c_pow,
-                              c_f, self.f_half)
-
-    def endpoint(self, a, p, c_pow, c_f) -> float:
-        return float(self.shoot(a, p, c_pow, c_f)[0][-1])
+        u = np.empty(self.nsteps + 1)
+        du = np.empty(self.nsteps + 1)
+        rk4_radial(float(a), self.h_s, self.nsteps, self.dim, float(p),
+                   float(c_pow), float(c_f), self.f_half, u, du)
+        return u, du
 
     def to_grid(self, prof: np.ndarray) -> GridFunction:
         return GridFunction(self.mesh, prof[self.node_index])
@@ -409,8 +402,8 @@ def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float,
     return _homogeneous_probes(mesh, p, alpha, [b])[0]
 
 
-def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,
-                       max_outer: int = 300) -> GridFunction:
+def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
+                       f_fn=None) -> GridFunction:
     """Shooting oracle for the full forced nonlocal problem.
 
     ``f_fn`` is the coordinate callable for the forcing (the nodal field
@@ -422,14 +415,14 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams, f_fn=None,
     falls back to the damped step t + F(t)/2 when a secant step is not
     finite or would make t negative, and stops once
     |F(t)| <= 1e-10 max(1, t), returning the profile shot at that t.
-    ``max_outer`` caps the number of inner solves.
+    ``MAX_OUTER`` caps the number of inner solves.
     """
     if params.lam > 0.0 and f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")
     setup = _ShootingSetup(mesh, f_fn)
     t = 0.0
     t_prev = F_prev = None
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         coeff = 1.0 + params.b * t
         c_pow, c_f = 1.0 / coeff, params.lam / coeff
         prof, dprof = _center_value(setup, params.p, c_pow, c_f)

@@ -110,9 +110,8 @@ def test_failing_vote_runs_each_solver_once(monkeypatch):
 
     picard = counted("picard", solvers.picard_iterate)
     descent = counted("descent", solvers.descent_minimize)
-    for module in (solvers, continuation):
-        monkeypatch.setattr(module, "picard_iterate", picard)
-        monkeypatch.setattr(module, "descent_minimize", descent)
+    monkeypatch.setattr(solvers, "picard_iterate", picard)
+    monkeypatch.setattr(solvers, "descent_minimize", descent)
     params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1e8, f=const_one(mesh))
     assert continuation._vote(mesh, params, SolverConfig(tol=1e-4), None) is None
     assert calls == {"picard": 1, "descent": 1}
@@ -131,11 +130,12 @@ def test_estimate_lambda_bracket(ball):
     assert est.upper in failed
 
 
-def test_estimate_lambda_open_bracket(ball):
-    # the first doubling already passes lam_max: no failure was seen, so
+def test_estimate_lambda_open_bracket(ball, monkeypatch):
+    # the first doubling already passes LAM_MAX: no failure was seen, so
     # the upper end stays open instead of being invented
     params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=const_one(ball))
-    est = estimate_Lambda_f(ball, params, SolverConfig(tol=1e-4), lam_max=0.06)
+    monkeypatch.setattr(continuation, "LAM_MAX", 0.06)
+    est = estimate_Lambda_f(ball, params, SolverConfig(tol=1e-4))
     assert (est.lower, est.upper) == (0.05, math.inf)
     assert [lam for lam, _, _ in est.votes] == [0.05]
     assert est.kirchhoff_multiplier >= 1.0

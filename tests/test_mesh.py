@@ -222,27 +222,35 @@ def negative_eigenvalue_count(M, my):
     return count
 
 
+def dense_local(mesh, P, coeff, v, kappa):
+    """coeff*(-lap) - diag(P) + kappa v v^T as a dense matrix."""
+    v = v.ravel()
+    return (coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
+            + kappa * np.outer(v, v))
+
+
 @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
-@pytest.mark.parametrize("k", [1, 2])
-def test_local_minres_matches_dense(definite, k):
-    # 7x11 interior nodes, hx = 1/8 != hy = 1/6; the local Newton operator
-    # coeff*(-lap) - diag(P), definite or with negative eigenvalues
+@pytest.mark.parametrize("kappa", [0.0, 3.0])
+def test_local_minres_matches_dense(definite, kappa):
+    # 7x11 interior nodes, hx = 1/8 != hy = 1/6; the Newton Jacobian on a
+    # rectangle, coeff*(-lap) - diag(P) + kappa v v^T, definite or with
+    # negative eigenvalues, with and without its rank-one term
     mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
-    mx, my = mesh.shape
-    rng = np.random.default_rng(5 + k)
+    rng = np.random.default_rng(5)
     coeff = 2.5
     if definite:
         P = -rng.uniform(0.0, 50.0, mesh.shape)
     else:
         P = rng.uniform(0.0, 4.0 * coeff * principal_eigenpair(mesh)[0], mesh.shape)
-    M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
+    v = rng.standard_normal(mesh.shape)
+    M = dense_local(mesh, P, coeff, v, kappa)
     eigs = np.linalg.eigvalsh(M)
     assert (eigs.min() > 0.0) == definite
-    R = rng.standard_normal((k, mx, my))
-    X = _kernels.local_minres(R, P, coeff, *mesh.spacing)
-    ref = np.linalg.solve(M, R.reshape(k, -1).T).T.reshape(R.shape)
-    assert X.shape == R.shape
-    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+    r = rng.standard_normal(mesh.shape)
+    x = _kernels.local_minres(r, P, coeff, *mesh.spacing, v, kappa)
+    ref = np.linalg.solve(M, r.ravel()).reshape(mesh.shape)
+    assert x.shape == r.shape
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_local_minres_matches_dense_many_negative_eigenvalues():
@@ -250,16 +258,16 @@ def test_local_minres_matches_dense_many_negative_eigenvalues():
     # eigenvalues as modes with lam_ij < 10.5 lam1, 13 on the unit square
     # (13 for this draw)
     mesh = build_mesh("rectangle", (1.0, 1.0), (65, 65))
-    mx, my = mesh.shape
+    my = mesh.shape[1]
     rng = np.random.default_rng(63)
     coeff = 1.7
     P = rng.uniform(0.0, 21.0 * coeff * principal_eigenpair(mesh)[0], mesh.shape)
     M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
     assert 10 <= negative_eigenvalue_count(M, my) <= 16
-    R = rng.standard_normal((2, mx, my))
-    X = _kernels.local_minres(R, P, coeff, *mesh.spacing)
-    ref = np.linalg.solve(M, R.reshape(2, -1).T).T.reshape(R.shape)
-    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+    r = rng.standard_normal(mesh.shape)
+    x = _kernels.local_minres(r, P, coeff, *mesh.spacing, np.zeros(mesh.shape), 0.0)
+    ref = np.linalg.solve(M, r.ravel()).reshape(mesh.shape)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def discrete_lam1(mesh):
@@ -275,9 +283,9 @@ def test_local_minres_singular_reports_failure():
     mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
     coeff = 2.5
     P = np.full(mesh.shape, coeff * discrete_lam1(mesh))
-    R = np.random.default_rng(11).standard_normal((1, *mesh.shape))
+    r = np.random.default_rng(11).standard_normal(mesh.shape)
     with pytest.raises(np.linalg.LinAlgError):
-        _kernels.local_minres(R, P, coeff, *mesh.spacing)
+        _kernels.local_minres(r, P, coeff, *mesh.spacing, np.ones(mesh.shape), 0.0)
 
 
 @given(
@@ -287,30 +295,29 @@ def test_local_minres_singular_reports_failure():
     Ly=st.floats(0.5, 2.0),
     coeff=st.floats(0.5, 3.0),
     shift=st.floats(-4.0, 8.0),
+    kappa=st.floats(0.0, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
 def test_local_minres_and_sine_poisson_on_random_rectangles(mx, my, Lx, Ly, coeff,
-                                                            shift, seed):
-    # shift < 0 gives a definite operator; up to 8 coeff*lam1 it has several
-    # negative eigenvalues
+                                                            shift, kappa, seed):
+    # shift < 0 gives a definite local part; up to 8 coeff*lam1 it has
+    # several negative eigenvalues, and kappa >= 0 adds the rank-one term;
+    # sine_poisson is the preconditioner
     mesh = build_mesh("rectangle", (Lx, Ly), (mx + 2, my + 2))
     hx, hy = mesh.spacing
     assume(abs(hx - hy) > 1e-3 * max(hx, hy))
     rng = np.random.default_rng(seed)
     lam1 = discrete_lam1(mesh)
     P = shift * coeff * lam1 * rng.uniform(0.0, 1.0, mesh.shape)
-    M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
+    v = rng.standard_normal(mesh.shape) * np.sqrt(coeff * lam1 / mesh.weights.size)
+    M = dense_local(mesh, P, coeff, v, kappa)
     # an eigenvalue within round-off of zero makes the comparison meaningless
     assume(np.min(np.abs(np.linalg.eigvalsh(M))) >= 1e-3 * coeff * lam1)
-    R = rng.standard_normal((2, mx, my))
-    X = _kernels.local_minres(R, P, coeff, hx, hy)
-    ref = np.linalg.solve(M, R.reshape(2, -1).T).T.reshape(R.shape)
-    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
-    U = _kernels.sine_poisson(R, hx, hy)
-    for Ui, Ri in zip(U, R):
-        np.testing.assert_allclose(Ui, _kernels.sine_poisson(Ri, hx, hy),
-                                   rtol=0.0, atol=1e-14 * np.max(np.abs(Ui)))
+    r = rng.standard_normal(mesh.shape)
+    x = _kernels.local_minres(r, P, coeff, hx, hy, v, kappa)
+    ref = np.linalg.solve(M, r.ravel()).reshape(mesh.shape)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize(

@@ -170,10 +170,28 @@ def test_picard_nonmember_forcing_raises(interval):
 
 
 def test_picard_above_barrier_cap_is_no_answer(ball):
-    params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=2.0, f=const_one(ball))
-    out = picard_iterate(ball, params, SolverConfig())
+    # regime C needs the barrier, and no rung M0 = 2^-k <= 1 of its ladder
+    # has lambda < M0^p: Picard stops before its first sweep
+    for mesh, lam in ((ball, 2.0), (build_mesh("ball", (1.0,), 33), 1e3)):
+        params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=lam, f=const_one(mesh))
+        out = picard_iterate(mesh, params, SolverConfig())
+        assert not out.converged
+        assert out.iterations == 0
+        assert out.message == (f"no admissible supersolution cap for lambda={lam} "
+                               "(lambda too large)")
+        assert np.all(out.solution.values == 0.0)
+
+
+def test_picard_reports_blow_up():
+    # regime B (no barrier) at a huge forcing: the u^8 term overruns the
+    # rescaling, and the third sweep passes the blow-up bound 2e10
+    mesh = build_mesh("interval", (1.0,), 33)
+    params = ProblemParams(b=1.0, alpha=1.0, p=8.0, lam=1e6, f=const_one(mesh))
+    out = picard_iterate(mesh, params, SolverConfig())
     assert not out.converged
-    assert "lambda" in out.message
+    assert out.message == "iterates blew up"
+    assert out.iterations == 3
+    assert np.all(out.solution.values == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +309,29 @@ def test_newton_converges_through_damped_steps(interval, monkeypatch):
     assert len(calls) > 2 * out.iterations + 1
 
 
+def test_newton_reports_rank_one_update_degenerate(interval, monkeypatch):
+    # the 1-D direct path adds the rank-one term q Lu^T, q = kappa W Lu, by
+    # Sherman-Morrison; a stubbed local solve whose second column is
+    # x2 = -Lu / <q, Lu> makes its denominator 1 + <q, x2> vanish
+    params, psi = manufactured(interval)
+    kappa = 2.0 * params.alpha * params.b  # alpha = 1: independent of K
+    w = interval.weights
+    solve = np.linalg.solve
+
+    def stub(M, rhs):
+        X = solve(M, rhs)
+        Lu = rhs[:, 1]
+        X[:, 1] = -Lu / (kappa * float(np.sum(w * Lu * Lu)))
+        return X
+
+    monkeypatch.setattr(np.linalg, "solve", stub)
+    out = newton_nonlocal(interval, params, SolverConfig(),
+                          GridFunction(interval, 1.3 * psi.values))
+    assert not out.converged
+    assert out.message == "rank-one update degenerate"
+    assert out.iterations == 0
+
+
 def test_newton_recovers_manufactured_solution_on_rectangle():
     # discrete manufactured solution on 63x63 interior nodes (3969 unknowns,
     # whose dense Jacobian alone would take 126 MB): lam f is set so that
@@ -315,17 +356,22 @@ def test_newton_recovers_manufactured_solution_on_rectangle():
 def test_newton_reports_singular_local_operator_on_rectangle():
     # u = c at every interior node with p = 3, alpha = 1: the potential is
     # 3c^2 everywhere and coeff = 1 + b c^2 K1, so choosing
-    # c^2 = lam1 / (3 - b K1 lam1) makes the local part coeff*(-lap - lam1),
-    # singular at the exact discrete lam1
+    # c^2 = lam21 / (3 - b K1 lam21) makes the local part coeff*(-lap - lam21),
+    # singular along the discrete mode phi21, odd in x.  -lap u is even in
+    # x, so the rank-one term cannot reach phi21 and the whole Jacobian
+    # stays singular; the forcing lam*phi21 puts -F outside its range.
     mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
     (mx, my), (hx, hy) = mesh.shape, mesh.spacing
-    lam1 = ((4.0 / hx**2) * np.sin(0.5 * np.pi / (mx + 1)) ** 2
-            + (4.0 / hy**2) * np.sin(0.5 * np.pi / (my + 1)) ** 2)
+    lam21 = ((4.0 / hx**2) * np.sin(np.pi / (mx + 1)) ** 2
+             + (4.0 / hy**2) * np.sin(0.5 * np.pi / (my + 1)) ** 2)
+    phi21 = np.outer(np.sin(2.0 * np.pi * np.arange(1, mx + 1) / (mx + 1)),
+                     np.sin(np.pi * np.arange(1, my + 1) / (my + 1)))
     one = np.ones(mesh.shape)
     K1 = float(np.sum(mesh.weights * laplacian_apply(mesh, one).values))
-    b = 0.5 / (K1 * lam1)
-    c = np.sqrt(lam1 / (3.0 - b * K1 * lam1))
-    params = ProblemParams(b=b, alpha=1.0, p=3.0, lam=0.0)
+    b = 0.5 / (K1 * lam21)
+    c = np.sqrt(lam21 / (3.0 - b * K1 * lam21))
+    params = ProblemParams(b=b, alpha=1.0, p=3.0, lam=1.0,
+                           f=GridFunction(mesh, phi21))
     out = newton_nonlocal(mesh, params, SolverConfig(), GridFunction(mesh, c * one))
     assert not out.converged
     assert out.message == "singular local operator"
@@ -450,14 +496,19 @@ def test_descent_tiny_trust_ball_reports_pinning(ball, lam, tol):
 
 def test_descent_below_round_off_floor_stalls():
     # regime A: a tolerance below the round-off floor of the energy cannot
-    # be reached by descent, so the line search stalls early; a reachable
-    # tolerance still converges through the Newton handoff
+    # be reached by descent, so the line search stalls early, at residual
+    # 2.8e-8; the unconverged Newton handoff stopped at 6e-13 and is kept.
+    # A reachable tolerance still converges through the Newton handoff
     mesh = build_mesh("interval", (1.0,), 129)
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(mesh))
     out = descent_minimize(mesh, params, SolverConfig(tol=1e-14))
     assert not out.converged
+    assert out.solver == "descent"
     assert out.iterations < 50
-    assert out.message.startswith("line search stalled at residual")
+    assert out.message.startswith("line search stalled at residual 2.8")
+    assert out.message.endswith(f"; kept newton handoff at residual {out.residual:.3e}")
+    assert 1e-13 < out.residual < 1e-12
+    assert out.positivity == "strictly-positive"
     out = descent_minimize(mesh, params, SolverConfig(tol=1e-8))
     assert out.converged
     assert out.message == "newton handoff"

@@ -355,6 +355,11 @@ def test_brent_smooth_bracket():
     assert len(calls) <= 10
 
 
+def shot_end(setup, a, p, c_pow, c_f):
+    """The endpoint map E(a) = u_a(R) of one shot."""
+    return float(setup.shoot(a, p, c_pow, c_f)[0][-1])
+
+
 def test_brent_linear_torsion_map(ball):
     # the c_pow = 0 endpoint map is affine in the center value: the first
     # secant step lands on the root, within the ladder rung [1/8, 1/4]
@@ -363,11 +368,11 @@ def test_brent_linear_torsion_map(ball):
 
     def endpoint(a):
         shots.append(a)
-        return setup.endpoint(a, 2.0, 0.0, 1.0)
+        return shot_end(setup, a, 2.0, 0.0, 1.0)
 
     lo, hi = 0.125, 0.25
-    root = _brent(endpoint, lo, hi, setup.endpoint(lo, 2.0, 0.0, 1.0),
-                  setup.endpoint(hi, 2.0, 0.0, 1.0), 1e-15)
+    root = _brent(endpoint, lo, hi, shot_end(setup, lo, 2.0, 0.0, 1.0),
+                  shot_end(setup, hi, 2.0, 0.0, 1.0), 1e-15)
     assert root == pytest.approx(1.0 / 6.0, abs=1e-13)
     assert len(shots) <= 4
 
@@ -415,21 +420,21 @@ def test_ladder_floor_skips_only_same_sign_rungs(kind):
         for c_pow in (1.0, 1e-3):
             for setup, c_f in ((forced, 1e-6), (forced, 1e-3), (forced, 10.0),
                                (unforced, 0.0)):
-                e0 = setup.endpoint(0.0, p, c_pow, c_f)
+                e0 = shot_end(setup, 0.0, p, c_pow, c_f)
                 k = verify._floor_rung(setup, p, c_pow, c_f, e0)
                 assert k >= 0
-                sign = np.sign(setup.endpoint(verify.LADDER[k], p, c_pow, c_f))
+                sign = np.sign(shot_end(setup, verify.LADDER[k], p, c_pow, c_f))
                 assert sign == (-1.0 if c_f > 0.0 else 1.0)
                 for a in verify.LADDER[:k]:
-                    assert np.sign(setup.endpoint(a, p, c_pow, c_f)) == sign, (
+                    assert np.sign(shot_end(setup, a, p, c_pow, c_f)) == sign, (
                         p, c_pow, c_f, a)
 
 
-def test_kirchhoff_shooting_outer_cap(ball):
+def test_kirchhoff_shooting_outer_cap(ball, monkeypatch):
     params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
+    monkeypatch.setattr(verify, "MAX_OUTER", 1)
     with pytest.raises(ConvergenceError):
-        kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r),
-                           max_outer=1)
+        kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
 
 
 def test_kirchhoff_shooting_needs_callable(ball):
