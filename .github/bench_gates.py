@@ -22,6 +22,10 @@ GATES = {
     "newton-1d.solvers.picard.calls": 47,
     "newton-1d.solvers.descent.calls": 47,
     "newton-1d.energy.eval.calls": 2000,
+    # Newton steps and residual evaluations: a step that no fraction down
+    # to the damping floor 1/8 improves ends its solve after 4 trials
+    "newton-1d.solvers.newton.steps": 1224,
+    "newton-1d.solvers.newton.residual_evals": 2750,
     # the saddle search is one Newton solve
     "mountain-pass.energy.eval.calls": 3,
     # rectangle Poisson solves by sine transform, Newton steps, and the

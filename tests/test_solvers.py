@@ -270,21 +270,30 @@ def test_newton_iteration_budget_respected(interval):
 
 
 def _count_residuals(monkeypatch):
+    """Sup residual of every Newton residual evaluation, in call order."""
     calls = []
     pieces = solvers._newton_pieces
 
     def counting(mesh, params, lam_f, u):
-        calls.append(1)
-        return pieces(mesh, params, lam_f, u)
+        out = pieces(mesh, params, lam_f, u)
+        calls.append(float(np.max(np.abs(out[-1]))))
+        return out
 
     monkeypatch.setattr(solvers, "_newton_pieces", counting)
     return calls
 
 
+def _trials_per_step(calls):
+    # the accepted trial and the next iterate are the same field, so every
+    # iterate after the first repeats the residual just before it
+    starts = [0] + [i for i in range(1, len(calls)) if calls[i] == calls[i - 1]]
+    return [b - a - 1 for a, b in zip(starts, starts[1:])]
+
+
 def test_newton_hopeless_step_stops_at_damping_floor(monkeypatch):
     # far above the threshold no positive solution exists; the first step
-    # fails every trial down to the floor, so the run ends after 1 + 11
-    # residuals instead of accepting a 2^-16 step and wandering on
+    # fails every trial down to the floor 1/8, so the run ends after 1 + 4
+    # residuals instead of accepting a tiny step and wandering on
     ball = build_mesh("ball", (1.0,), 17)
     params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1.4e7, f=const_one(ball))
     _, phi1 = constants.eigenpair(ball)
@@ -292,21 +301,36 @@ def test_newton_hopeless_step_stops_at_damping_floor(monkeypatch):
     out = newton_nonlocal(ball, params, SolverConfig(tol=1e-4), phi1)
     assert not out.converged
     assert out.message.startswith("damping below floor")
-    assert len(calls) <= 12
+    assert len(calls) <= 5
+
+
+def test_newton_walks_then_stops_at_damping_floor(monkeypatch):
+    # the first failed vote of the seed-42 threshold scenario: from a large
+    # torsion start Newton takes a few steps above the fold, then no
+    # fraction down to 1/8 helps; with a floor of 2^-10 it would creep on
+    # for 7 steps and 68 residuals
+    ball = build_mesh("ball", (1.0,), 65)
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=13421772.8, f=const_one(ball))
+    start = GridFunction(ball, 100.0 * constants.torsion(ball).values)
+    calls = _count_residuals(monkeypatch)
+    out = newton_nonlocal(ball, params, SolverConfig(tol=1e-4), start)
+    assert not out.converged
+    assert out.message.startswith("damping below floor")
+    assert len(calls) <= 20
 
 
 def test_newton_converges_through_damped_steps(interval, monkeypatch):
-    # from -3 phi1 some steps pass only after halving; the floor must
-    # leave such damped steps alone
+    # from -3 phi1 one step passes only at s = 1/4 (residual 12, trials
+    # 216, 19.5, 6.19); the floor must leave such damped steps alone
     params = ProblemParams(b=10.0, alpha=1.0, p=2.0, lam=10.0, f=const_one(interval))
     _, phi1 = constants.eigenpair(interval)
     calls = _count_residuals(monkeypatch)
     out = newton_nonlocal(interval, params, SolverConfig(), -3.0 * phi1)
     assert out.converged
     assert out.positivity == "strictly-positive"
-    # one residual per iterate plus one per trial: any extra trial means
-    # some step was accepted only after halving
-    assert len(calls) > 2 * out.iterations + 1
+    trials = _trials_per_step(calls)
+    assert len(trials) == out.iterations
+    assert 3 in trials
 
 
 def test_newton_reports_rank_one_update_degenerate(interval, monkeypatch):
