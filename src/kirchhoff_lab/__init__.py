@@ -5,7 +5,6 @@ problem of a forced Kirchhoff-type equation
 
 on intervals, rectangles and radially symmetric 3-d balls."""
 
-from ._kernels import BACKEND
 from .continuation import estimate_Lambda_f, sweep_b_threshold, sweep_lambda
 from .energy import energy_eval, energy_gradient
 from .exceptions import (BarrierError, ConfigError, ConvergenceError,
@@ -14,9 +13,8 @@ from .exceptions import (BarrierError, ConfigError, ConvergenceError,
 from .forcing import make_forcing
 from .mesh import (GridFunction, build_mesh, h1_seminorm, l2_inner,
                    laplacian_apply, lp_norm, poisson_solve,
-                   principal_eigenpair, sobolev_constant, sup_norm)
-from .problem import (ProblemParams, classify_regime, compute_b0,
-                      membership_M, regime_letter)
+                   principal_eigenpair, sup_norm)
+from .problem import ProblemParams, compute_b0, membership_M, regime_letter
 from .scalar_reduction import (kirchhoff_linear_solve, rescale_to_semilinear,
                                solve_h_root)
 from .solvers import (SolverConfig, SolveOutcome, build_barrier,
@@ -29,7 +27,6 @@ from .verify import (homogeneous_shooting, kirchhoff_shooting,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BarrierError",
     "ConfigError",
     "ConvergenceError",
@@ -44,7 +41,6 @@ __all__ = [
     "__version__",
     "build_barrier",
     "build_mesh",
-    "classify_regime",
     "compute_b0",
     "descent_minimize",
     "energy_eval",
@@ -70,7 +66,6 @@ __all__ = [
     "rescale_to_semilinear",
     "residual_certificate",
     "shooting_solve",
-    "sobolev_constant",
     "solve_h_root",
     "sup_norm",
     "supnorm_decay_scan",

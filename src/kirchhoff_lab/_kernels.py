@@ -12,13 +12,9 @@ are the same, so their results are bit-identical, at 2-4x less cost per
 step.  One behaviour differs: a float power that overflows raises
 OverflowError where numpy returned inf, so ``rk4_radial`` stops the shot
 there and fills the rest of the profile with nan.
-
-``BACKEND`` names the one implementation, for reports that print it.
 """
 
 import numpy as np
-
-BACKEND = "numpy"
 
 
 def tridiag_apply(sub, diag, sup, u, out):

@@ -400,9 +400,3 @@ def sobolev_minimizer(mesh: DomainMesh, p: float):
     raise ConvergenceError(
         f"embedding-quotient iteration stalled (gradient norm {gnorm:.3e})"
     )
-
-
-def sobolev_constant(mesh: DomainMesh, p: float) -> float:
-    """Discrete best constant of the H1_0 -> L^{p+1} embedding quotient."""
-    S, _ = sobolev_minimizer(mesh, p)
-    return S

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonMemberError, RegimeError
-from .mesh import DomainMesh, GridFunction, _values, lp_norm, poisson_solve, sup_norm
+from .mesh import DomainMesh, GridFunction, _values, poisson_solve, sup_norm
 
 SIGN_TOL_FACTOR = 1e-10  # relative tolerance for nodal sign decisions
 
@@ -69,15 +69,6 @@ def two_star(dim: int) -> float:
     return (dim + 2.0) / (dim - 2.0) if dim >= 3 else math.inf
 
 
-@dataclass(frozen=True)
-class RegimeInfo:
-    regime: str  # 'A' | 'B' | 'C'
-    two_star: float
-    gamma: float  # 2 alpha + 1 - p
-    l: float  # S^{(p+1)/2}
-    b0: float | None  # existence threshold for the unforced problem (A only)
-
-
 def regime_letter(params: ProblemParams, dim: int) -> str:
     """Regime of (p, alpha) in dimension dim, rejecting boundary exponents."""
     ts = two_star(dim)
@@ -94,19 +85,6 @@ def regime_letter(params: ProblemParams, dim: int) -> str:
     if params.p < crossover:
         return "A"
     return "B" if params.p < ts else "C"
-
-
-def classify_regime(params: ProblemParams, dim: int, S: float) -> RegimeInfo:
-    """Place (p, alpha) in a regime; boundary exponents are hard errors.
-
-    ``S`` is the discrete embedding quotient for exponent p on the mesh
-    at hand; it feeds the derived constants l and b0.
-    """
-    regime = regime_letter(params, dim)
-    gamma = 2.0 * params.alpha + 1.0 - params.p
-    l = S ** ((params.p + 1.0) / 2.0)
-    b0 = compute_b0(params, S) if regime == "A" else None
-    return RegimeInfo(regime, two_star(dim), gamma, l, b0)
 
 
 def compute_b0(params: ProblemParams, S: float) -> float:
@@ -130,7 +108,7 @@ def compute_b0(params: ProblemParams, S: float) -> float:
 @dataclass(frozen=True)
 class MembershipReport:
     member: bool
-    witness: GridFunction | None
+    witness: GridFunction
     violation_index: tuple | None
 
 
@@ -158,60 +136,3 @@ def require_member(mesh: DomainMesh, f) -> GridFunction:
             f"forcing fails the positive-witness test at node {report.violation_index}"
         )
     return report.witness
-
-
-def boundary_distance(mesh: DomainMesh) -> np.ndarray:
-    """Distance from each interior node to the domain boundary."""
-    if mesh.kind == "ball":
-        return mesh.extents[0] - mesh.coords[0]
-    return np.minimum.reduce([d for x, o, L in zip(mesh.nodes, mesh.origin, mesh.extents)
-                              for d in (x - o, o + L - x)])
-
-
-def membership_Fplus(mesh: DomainMesh, f, layer: float) -> MembershipReport:
-    """Check f >= 0 on the boundary layer of the given width.
-
-    Sign-changing forcings remain usable by the comparison arguments as
-    long as their negative part stays away from the boundary; this test
-    certifies exactly that.
-    """
-    if layer < mesh.h:
-        raise ValueError(f"layer {layer} is thinner than one node ring (h={mesh.h})")
-    half_width = min(mesh.extents) / 2.0 if mesh.kind != "ball" else mesh.extents[0]
-    if layer > half_width:
-        raise ValueError(f"layer {layer} exceeds the domain inradius {half_width}")
-    vals = _values(mesh, f)
-    dist = boundary_distance(mesh)
-    tol = SIGN_TOL_FACTOR * max(float(np.max(np.abs(vals))), 1e-300)
-    in_layer = dist < layer
-    bad = (vals < -tol) & in_layer
-    if not bad.any():
-        return MembershipReport(True, None, None)
-    flat = int(np.argmax(bad))
-    return MembershipReport(False, None, np.unravel_index(flat, vals.shape))
-
-
-def energy_lower_bound(mesh: DomainMesh, params: ProblemParams, S: float,
-                       lambda1: float) -> float:
-    """Uniform floor of the energy functional in regime A.
-
-    Derived from the embedding inequality |u|_{p+1}^{p+1} <= C |grad u|^{p+1}
-    with C = S^{-(p+1)/2} and the Poincare inequality, both of which hold
-    exactly for the discrete constants, so the floor is a true discrete
-    bound and not just an asymptotic statement:
-
-        I(u) >= -gamma / (2(alpha+1)(p+1)) * (C^{2(alpha+1)} / b^{p+1})^{1/gamma}
-                - lambda^2 |f|_2^2 / lambda1
-    """
-    p, alpha, b = params.p, params.alpha, params.b
-    gamma = 2.0 * alpha + 1.0 - p
-    if not gamma > 0:
-        raise RegimeError("energy floor requires regime A (gamma > 0)")
-    C = S ** (-(p + 1.0) / 2.0)
-    bulk = -gamma / (2.0 * (alpha + 1.0) * (p + 1.0)) * (
-        C ** (2.0 * (alpha + 1.0)) / b ** (p + 1.0)
-    ) ** (1.0 / gamma)
-    if params.lam > 0 and params.f is not None:
-        fnorm = lp_norm(mesh, params.f, 2.0)
-        bulk -= params.lam**2 * fnorm**2 / lambda1
-    return bulk

@@ -22,7 +22,9 @@ Everything here deliberately avoids the solver machinery it certifies:
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
   u/lambda limit profile.
-* ``residual_certificate`` -- sup norm of the strong-form defect.
+* ``residual_certificate`` -- sup norm of the strong-form defect.  The
+  one exception to the rule above: it is the solvers' own residual,
+  recomputed from the field.
 """
 
 import math
@@ -39,16 +41,11 @@ from .mesh import (
     DomainMesh,
     GridFunction,
     _values,
-    h1_seminorm,
     poisson_solve,
     sup_norm,
 )
 from .problem import ProblemParams, regime_letter
-from .scalar_reduction import (
-    consistency_root,
-    kirchhoff_linear_solve,
-    rescale_to_semilinear,
-)
+from .scalar_reduction import consistency_root, kirchhoff_linear_solve
 from .solvers import (SolverConfig, battery, descent_minimize, multi_start,
                       newton_nonlocal)
 
@@ -133,32 +130,6 @@ def xdot_grad_values(mesh: DomainMesh, forcing) -> np.ndarray:
         raise ValueError(f"forcing {forcing.name!r} has no callable to differentiate")
     eps = 1e-30
     return np.imag(forcing.fn(*(x * complex(1.0, eps) for x in mesh.nodes))) / eps
-
-
-def transformed_gradient_bound(mesh: DomainMesh, params: ProblemParams, u,
-                               forcing_xdot) -> tuple:
-    """Gradient bound for the rescaled solution above the critical exponent.
-
-    Testing the rescaled equation with its own solution and dropping the
-    (nonnegative) boundary flux of the integral identity gives
-
-        |grad v|^2 <= eff_lam [ (2/eta) int (x.grad f) v
-                                + (1 + (N+2)/eta) int f v ].
-
-    Returns (lhs, rhs); callers assert lhs <= rhs with headroom.
-    """
-    v, eff_lam = rescale_to_semilinear(mesh, params, u)
-    N = mesh.dim
-    eta = N - 2.0 - 2.0 * N / (params.p + 1.0)
-    if eta <= 0.0:
-        raise RegimeError("the gradient bound needs a supercritical exponent")
-    fvals = _values(mesh, params.f)
-    fdot = _values(mesh, forcing_xdot)
-    wts = mesh.weights
-    rhs = eff_lam * ((2.0 / eta) * float(np.sum(wts * fdot * v.values))
-                     + (1.0 + (N + 2.0) / eta) * float(np.sum(wts * fvals * v.values)))
-    lhs = h1_seminorm(mesh, v) ** 2
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +521,12 @@ def supnorm_decay_scan(mesh: DomainMesh, params: ProblemParams, lams,
 
 
 def residual_certificate(mesh: DomainMesh, params: ProblemParams, u) -> float:
-    """Sup norm of the strong-form defect; the universal acceptance gate."""
+    """Sup norm of the strong-form defect; the universal acceptance gate.
+
+    This is ``sup_norm(energy_gradient(...))``, the quantity every solver
+    stores as ``SolveOutcome.residual``: it re-checks a field, not the
+    solver, and on a solver's own output it repeats that residual exactly.
+    """
     if not isinstance(u, GridFunction):
         u = GridFunction(mesh, np.asarray(u, dtype=float))
     return sup_norm(mesh, energy_gradient(mesh, params, u))

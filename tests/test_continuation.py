@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from kirchhoff_lab import constants, continuation, solvers

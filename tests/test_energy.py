@@ -10,11 +10,13 @@ from kirchhoff_lab.mesh import (
     build_mesh,
     h1_seminorm,
     l2_inner,
+    lp_norm,
     principal_eigenpair,
-    sobolev_constant,
+    sobolev_minimizer,
 )
-from kirchhoff_lab.problem import ProblemParams, energy_lower_bound
+from kirchhoff_lab.problem import ProblemParams
 from kirchhoff_lab.scalar_reduction import kirchhoff_linear_solve
+from kirchhoff_lab.solvers import SolverConfig, descent_minimize
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +85,31 @@ def test_gradient_matches_finite_differences(mesh_kind):
         assert abs(fd - gv) <= 1e-6 * max(abs(fd), abs(gv), 1e-12)
 
 
+def _energy_floor(mesh, params):
+    # regime A's uniform floor, from the embedding inequality
+    # |u|_{p+1}^{p+1} <= C |grad u|^{p+1} with C = S^{-(p+1)/2} and the
+    # Poincare inequality; both hold exactly for the discrete constants:
+    #   I(u) >= -gamma / (2(alpha+1)(p+1)) (C^{2(alpha+1)} / b^{p+1})^{1/gamma}
+    #           - lambda^2 |f|_2^2 / lambda1
+    p, alpha, b = params.p, params.alpha, params.b
+    gamma = 2.0 * alpha + 1.0 - p
+    assert gamma > 0
+    S, _ = sobolev_minimizer(mesh, p)
+    lam1, _ = principal_eigenpair(mesh)
+    C = S ** (-(p + 1.0) / 2.0)
+    bulk = -gamma / (2.0 * (alpha + 1.0) * (p + 1.0)) * (
+        C ** (2.0 * (alpha + 1.0)) / b ** (p + 1.0)) ** (1.0 / gamma)
+    return bulk - params.lam**2 * lp_norm(mesh, params.f, 2.0) ** 2 / lam1
+
+
 def test_energy_floor_over_random_fields(interval):
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=2.0,
                            f=constant_forcing(interval).field)
-    S = sobolev_constant(interval, params.p)
-    lam1, _ = principal_eigenpair(interval)
-    floor = energy_lower_bound(interval, params, S, lam1)
+    floor = _energy_floor(interval, params)
+    assert floor < 0
+    out = descent_minimize(interval, params, SolverConfig())
+    assert out.converged
+    assert out.energy.total >= floor
     rng = np.random.default_rng(4)
     for _ in range(200):
         vals = rng.standard_normal(interval.shape) * rng.uniform(0.1, 3.0)

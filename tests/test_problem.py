@@ -1,4 +1,4 @@
-"""Parameter validation, regime classification, membership, energy floor."""
+"""Parameter validation, regime classification, membership."""
 
 import math
 
@@ -8,17 +8,13 @@ import pytest
 
 from kirchhoff_lab.exceptions import MeshMismatchError, RegimeError
 from kirchhoff_lab.forcing import constant_forcing, eigenmode_forcing, quartic_forcing
-from kirchhoff_lab.mesh import GridFunction, build_mesh, h1_seminorm, sup_norm
+from kirchhoff_lab.mesh import build_mesh, sup_norm
 from kirchhoff_lab.problem import (
-    MembershipReport,
-    boundary_distance,
     ProblemParams,
-    classify_regime,
     compute_b0,
-    energy_lower_bound,
     forcing_values,
-    membership_Fplus,
     membership_M,
+    regime_letter,
     two_star,
 )
 
@@ -48,35 +44,23 @@ def test_two_star_sentinel():
 
 
 def test_regime_classification():
-    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.0)
-    info = classify_regime(params, dim=1, S=4.0)
-    assert info.regime == "A"
-    assert info.gamma == pytest.approx(1.0)
-    assert info.l == pytest.approx(4.0**1.5)
-    assert info.b0 is not None
-
-    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.0)
-    info = classify_regime(params, dim=3, S=4.0)
-    assert info.regime == "B"
-    assert info.b0 is None
-
-    params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.0)
-    info = classify_regime(params, dim=3, S=4.0)
-    assert info.regime == "C"
+    assert regime_letter(ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.0), dim=1) == "A"
+    assert regime_letter(ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.0), dim=3) == "B"
+    assert regime_letter(ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.0), dim=3) == "C"
 
 
 def test_boundary_exponents_rejected():
     with pytest.raises(RegimeError, match="boundary exponent"):
-        classify_regime(ProblemParams(b=1.0, alpha=1.0, p=3.0, lam=0.0), dim=1, S=4.0)
+        regime_letter(ProblemParams(b=1.0, alpha=1.0, p=3.0, lam=0.0), dim=1)
     with pytest.raises(RegimeError, match="boundary exponent"):
-        classify_regime(ProblemParams(b=1.0, alpha=0.5, p=5.0, lam=0.0), dim=3, S=4.0)
+        regime_letter(ProblemParams(b=1.0, alpha=0.5, p=5.0, lam=0.0), dim=3)
 
 
 def test_alpha_window_enforced_in_3d():
     # need 2 alpha + 1 < 2* = 5, i.e. alpha < 2
     with pytest.raises(RegimeError):
-        classify_regime(ProblemParams(b=1.0, alpha=2.0, p=4.0, lam=0.0), dim=3, S=4.0)
-    classify_regime(ProblemParams(b=1.0, alpha=1.9, p=4.0, lam=0.0), dim=3, S=4.0)
+        regime_letter(ProblemParams(b=1.0, alpha=2.0, p=4.0, lam=0.0), dim=3)
+    assert regime_letter(ProblemParams(b=1.0, alpha=1.9, p=4.0, lam=0.0), dim=3) == "A"
 
 
 def test_b0_against_arbitrary_precision():
@@ -157,85 +141,9 @@ def test_membership_witness_residual(interval):
     assert sup_norm(interval, res) <= 1e-9 * sup_norm(interval, f)
 
 
-def test_fplus_layer_checks(interval):
-    one = constant_forcing(interval).field
-    assert membership_Fplus(interval, one, 0.1).member
-
-    neg_mode = -1.0 * eigenmode_forcing(interval).field
-    assert not membership_Fplus(interval, neg_mode, 0.1).member
-
-    # compactly supported negative bump at the center: outside the witness
-    # class, but fine for the boundary-layer class
-    x = interval.coords[0]
-    bump = np.where(np.abs(x - 0.5) < 0.2, -np.cos((x - 0.5) * np.pi / 0.4) ** 2, 0.0)
-    f = GridFunction(interval, bump)
-    assert membership_Fplus(interval, f, 0.1).member
-    assert not membership_M(interval, f).member
-
-
-@pytest.mark.parametrize("mesh", [build_mesh("rectangle", (1.0, 2.0), (33, 65)),
-                                  build_mesh("ball", 1.0, 65)],
-                         ids=["rectangle", "ball"])
-def test_fplus_layer_on_rectangle_and_ball(mesh):
-    assert membership_Fplus(mesh, constant_forcing(mesh).field, 0.1).member
-    # the quartic forcing is -2 L^2 < 0 along the box edges and
-    # 12 R^2 - 20 R^2 < 0 on the sphere
-    rep = membership_Fplus(mesh, quartic_forcing(mesh).field, 0.1)
-    assert not rep.member
-    assert boundary_distance(mesh)[rep.violation_index] < 0.1
-    assert quartic_forcing(mesh).field.values[rep.violation_index] < 0.0
-
-
-def test_fplus_rejects_forcing_from_another_mesh(interval):
-    # same node count, twice the length: the nodes sit elsewhere
-    wide = build_mesh("interval", 2.0, 65)
-    with pytest.raises(MeshMismatchError):
-        membership_Fplus(interval, quartic_forcing(wide).field, 0.1)
-
-
-def test_fplus_rejects_wrong_shape_array(interval):
-    with pytest.raises(MeshMismatchError):
-        membership_Fplus(interval, np.ones(interval.shape[0] + 1), 0.1)
-
-
 def test_forcing_values_rejects_forcing_from_another_mesh(interval):
     other = build_mesh("interval", 1.0, 65)
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0,
                            f=constant_forcing(other).field)
     with pytest.raises(MeshMismatchError):
         forcing_values(interval, params)
-
-
-def test_fplus_layer_validation(interval):
-    one = constant_forcing(interval).field
-    with pytest.raises(ValueError):
-        membership_Fplus(interval, one, interval.h / 2)
-    with pytest.raises(ValueError):
-        membership_Fplus(interval, one, 10.0)
-
-
-# ---------------------------------------------------------------------------
-# energy floor
-
-
-def test_energy_lower_bound_value(interval):
-    from kirchhoff_lab.mesh import lp_norm, principal_eigenpair, sobolev_constant
-
-    f = constant_forcing(interval).field
-    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=2.0, f=f)
-    S = sobolev_constant(interval, params.p)
-    lam1, _ = principal_eigenpair(interval)
-    bound = energy_lower_bound(interval, params, S, lam1)
-    # independent recomputation straight from the two-term minimization
-    C = S ** (-1.5)
-    gamma = 1.0
-    expect = -gamma / (2.0 * 2.0 * 3.0) * (C**4 / params.b**3) ** (1.0 / gamma)
-    expect -= params.lam**2 * lp_norm(interval, f, 2.0) ** 2 / lam1
-    assert bound == pytest.approx(expect, rel=1e-12)
-    assert bound < 0
-
-
-def test_energy_lower_bound_regime_gate(interval):
-    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.0)
-    with pytest.raises(RegimeError):
-        energy_lower_bound(interval, params, 4.0, 9.8)
