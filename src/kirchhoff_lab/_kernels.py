@@ -1,6 +1,6 @@
 """Hot numerical kernels: the tridiagonal apply and solve, the 2-D
 5-point stencil, its fast Poisson solve by double sine transform
-(``sine_poisson``), the MINRES solve of the stencil shifted by a
+(``sine_solver``), the MINRES solve of the stencil shifted by a
 variable potential and a symmetric rank-one term (``local_minres``,
 preconditioned by that transform), and the radial RK4 shot, in numpy and
 plain Python.  The 2-D kernels take one (mx, my) field; no rectangle
@@ -59,21 +59,18 @@ def _sine_basis(m, h):
     return Q, (4.0 / h**2) * np.sin((0.5 * np.pi / n) * j) ** 2
 
 
-def sine_poisson(R, hx, hy):
-    """Solve the 5-point minus-Laplacian system on an (mx, my) interior
-    grid with zero Dirichlet data: right-hand side R, spacings hx, hy.
+def sine_solver(mx, my, hx, hy):
+    """Solver of the 5-point minus-Laplacian system on an (mx, my) interior
+    grid with zero Dirichlet data and spacings hx, hy: the returned
+    function maps a right-hand side R to the solution U.
 
     The operator is a Kronecker sum of two second differences, so the
     orthonormal sine matrices Qx and Qy diagonalise it with eigenvalues
     mu_x[i] + mu_y[j] (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
     1970): U = Qx ((Qx R Qy) / (mu_x[i] + mu_y[j])) Qy, four matmuls and
-    O(mx my (mx + my)) work.
+    O(mx my (mx + my)) work.  The sine matrices are built once per
+    solver, so repeated solves share them.
     """
-    return _sine_solver(*R.shape, hx, hy)(R)
-
-
-def _sine_solver(mx, my, hx, hy):
-    # sine_poisson with the sine matrices built once, for repeated solves
     Qx, mu_x = _sine_basis(mx, hx)
     Qy, mu_y = _sine_basis(my, hy)
     lam = mu_x[:, None] + mu_y
@@ -107,7 +104,7 @@ def local_minres(r, P, coeff, hx, hy, v, kappa):
     of coeff*(-lap), so the solver is MINRES (Paige & Saunders, SIAM J.
     Numer. Anal. 12, 1975; Elman, Silvester & Wathen, *Finite Elements and
     Fast Iterative Solvers*, ch. 2) preconditioned by the SPD coeff*(-lap),
-    inverted exactly by the sine transform of ``sine_poisson``.  The
+    inverted exactly by the sine transform of ``sine_solver``.  The
     potential and the rank-one term make the preconditioned operator the
     identity plus a compact term, so the iteration count does not grow
     with the grid.  One iteration costs one stencil, one sine solve and
@@ -128,7 +125,7 @@ def local_minres(r, P, coeff, hx, hy, v, kappa):
         lap2d_apply(q, Aq, ihx2, ihy2)
         return coeff * Aq - P * q + (kappa * np.vdot(v, q)) * v
 
-    poisson = _sine_solver(mx, my, hx, hy)
+    poisson = sine_solver(mx, my, hx, hy)
     # numpy scalars: a zero gamma (singular tridiagonal) gives nan for the
     # check below, where Python floats would raise ZeroDivisionError
     x = np.zeros_like(r)

@@ -1,12 +1,10 @@
-"""Per-mesh caches for spectral constants and assembled operators.
+"""Per-mesh cache for spectral constants and assembled operators.
 
 Eigenpairs, embedding quotients, torsion functions and the dense 1-D
 operator matrices are pure functions of the mesh (and exponent), and several
-solver layers keep asking for them; caching keyed on mesh identity keeps
-sweeps from recomputing them at every lambda.
+solver layers keep asking for them.  One cache, ``DomainMesh.cache``, keeps
+sweeps from recomputing them at every lambda and is freed with its mesh.
 """
-
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -19,37 +17,29 @@ from .mesh import (
     sobolev_minimizer,
 )
 
-_eigen: WeakKeyDictionary = WeakKeyDictionary()
-_sobolev: WeakKeyDictionary = WeakKeyDictionary()
-_dense: WeakKeyDictionary = WeakKeyDictionary()
-_torsion: WeakKeyDictionary = WeakKeyDictionary()
+
+def _cached(mesh: DomainMesh, key, build):
+    if key not in mesh.cache:
+        mesh.cache[key] = build()
+    return mesh.cache[key]
 
 
 def eigenpair(mesh: DomainMesh):
     """(lambda1, phi1) with phi1 positive and sup-normalized."""
-    if mesh not in _eigen:
-        _eigen[mesh] = principal_eigenpair(mesh)
-    return _eigen[mesh]
+    return _cached(mesh, "eigenpair", lambda: principal_eigenpair(mesh))
 
 
 def sobolev(mesh: DomainMesh, p: float):
     """(S, minimizer) of the embedding quotient for exponent p."""
-    per_mesh = _sobolev.setdefault(mesh, {})
-    key = float(p)
-    if key not in per_mesh:
-        per_mesh[key] = sobolev_minimizer(mesh, key)
-    return per_mesh[key]
+    p = float(p)
+    return _cached(mesh, ("sobolev", p), lambda: sobolev_minimizer(mesh, p))
 
 
 def dense_op(mesh: DomainMesh):
     """Dense minus-Laplacian of an interval or ball (1-D Newton only)."""
-    if mesh not in _dense:
-        _dense[mesh] = dense_operator(mesh)
-    return _dense[mesh]
+    return _cached(mesh, "dense_op", lambda: dense_operator(mesh))
 
 
 def torsion(mesh: DomainMesh) -> GridFunction:
     """Solution of -lap psi = 1, the universal comparison bump."""
-    if mesh not in _torsion:
-        _torsion[mesh] = poisson_solve(mesh, np.ones(mesh.shape))
-    return _torsion[mesh]
+    return _cached(mesh, "torsion", lambda: poisson_solve(mesh, np.ones(mesh.shape)))

@@ -115,8 +115,6 @@ class ThresholdEstimate:
     lower: float  # largest lambda where a positive solution was found
     upper: float  # smallest lambda whose vote failed (inf = open)
     votes: tuple  # (lambda, solvable, detail) in probe order
-    max_seminorm: float  # largest |grad u| seen among found solutions
-    kirchhoff_multiplier: float  # (1 + b C^{2 alpha})^{p/(p-1)} at that C
 
     @property
     def ratio(self) -> float:
@@ -145,8 +143,9 @@ def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
 
     Starts from params.lam, or 1 when it is 0 (halving until a solvable
     point is found), doubles until a vote fails, then shrinks the bracket to
-    ``TARGET_RATIO``.  If nothing fails below ``LAM_MAX`` the upper
-    bracket is reported open (inf) rather than invented.
+    ``TARGET_RATIO``, so a finite upper bound always comes with
+    ratio <= ``TARGET_RATIO``.  If nothing fails below ``LAM_MAX`` the
+    upper bracket is reported open (inf) rather than invented.
     """
     letter = regime_letter(params, mesh.dim)
     if letter == "A":
@@ -156,14 +155,12 @@ def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
         raise ValueError("the threshold estimate needs a forcing f")
     require_member(mesh, params.f)
     votes = []
-    best_sem = 0.0
     warm = None
 
     def probe(lam: float):
-        nonlocal best_sem, warm
+        nonlocal warm
         out = _vote(mesh, replace(params, lam=lam), config, warm)
         if out is not None:
-            best_sem = max(best_sem, out.seminorm)
             warm = out.solution
             votes.append((lam, True, out.solver))
             return True
@@ -188,9 +185,7 @@ def estimate_Lambda_f(mesh: DomainMesh, params: ProblemParams,
             lo = mid
         else:
             hi = mid
-    mult = (1.0 + params.b * best_sem ** (2.0 * params.alpha)) \
-        ** (params.p / (params.p - 1.0))
-    return ThresholdEstimate(lo, hi, tuple(votes), best_sem, mult)
+    return ThresholdEstimate(lo, hi, tuple(votes))
 
 
 # ---------------------------------------------------------------------------

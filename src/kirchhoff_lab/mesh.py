@@ -23,7 +23,7 @@ which the solvers rely on when they differentiate the energy.
 
 Linear solves are direct: Thomas elimination on the tridiagonal 1-D
 operators; on rectangles a sine transform in both x and y
-(``_kernels.sine_poisson``), so no rectangle matrix is ever assembled or
+(``_kernels.sine_solver``), so no rectangle matrix is ever assembled or
 factored.
 
 Quadrature is the nodal rectangle rule, which coincides with the
@@ -45,8 +45,9 @@ class DomainMesh:
     """Immutable mesh descriptor plus precomputed stencil data.
 
     Identity semantics: two meshes are interchangeable only if they are
-    the same object, which keeps grid functions unambiguous and lets
-    downstream caches key on the mesh itself.
+    the same object, which keeps grid functions unambiguous.  The one
+    mutable part is ``cache``, where ``constants`` keeps what it derives
+    from the mesh; it is freed with the mesh.
 
     An interval or rectangle is the box ``origin + [0, extents]``; a ball
     has radius ``extents[0]`` and origin (0.0,).  ``nodes`` holds the
@@ -66,6 +67,9 @@ class DomainMesh:
     # tridiagonal minus-Laplacian rows (interval/ball), None for rectangle
     stencil: tuple | None = field(default=None, repr=False)
     face_weights: tuple | None = field(default=None, repr=False)
+    # derived constants, filled by constants.py; cached fields refer back to
+    # the mesh, so a cache keyed on the mesh elsewhere would never free it
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def ndof(self) -> int:
@@ -243,11 +247,11 @@ def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     """Solve minus-Laplacian u = rhs exactly (up to round-off).
 
     Tridiagonal elimination for interval/ball meshes; on rectangles a sine
-    transform in x and in y (``_kernels.sine_poisson``).
+    transform in x and in y (``_kernels.sine_solver``).
     """
     vals = _values(mesh, rhs)
     if mesh.kind == "rectangle":
-        return GridFunction(mesh, _kernels.sine_poisson(vals, *mesh.spacing))
+        return GridFunction(mesh, _kernels.sine_solver(*mesh.shape, *mesh.spacing)(vals))
     sub, diag, sup = mesh.stencil
     x = np.empty_like(vals)
     _kernels.thomas_solve(sub, diag, sup, vals, x)

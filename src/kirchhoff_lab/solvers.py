@@ -41,12 +41,14 @@ import numpy as np
 
 from . import _kernels, constants
 from .energy import EnergyBreakdown, energy_eval, energy_gradient
-from .exceptions import BarrierError, ConvergenceError, KirchhoffLabError, RegimeError
+from .exceptions import (BarrierError, ConvergenceError, KirchhoffLabError,
+                         NonMemberError, RegimeError)
 from .mesh import (
     DomainMesh,
     GridFunction,
     _values,
     h1_seminorm,
+    laplacian_apply,
     lp_norm,
     poisson_solve,
     sup_norm,
@@ -55,7 +57,6 @@ from .problem import (
     SIGN_TOL_FACTOR,
     ProblemParams,
     forcing_values,
-    membership_M,
     regime_letter,
 )
 from .scalar_reduction import consistency_root, kirchhoff_linear_solve, picard_rescale
@@ -127,7 +128,6 @@ def _outcome(mesh, params, values, solver, iterations, config, wants_converged,
 class Barrier:
     M0: float
     psi0: GridFunction
-    lambda_cap: float  # M0^p
 
 
 def build_barrier(mesh: DomainMesh, params: ProblemParams) -> Barrier:
@@ -151,7 +151,7 @@ def build_barrier(mesh: DomainMesh, params: ProblemParams) -> Barrier:
         psi0 = M0 * psi
         if not np.all(M0 >= psi0.values**params.p + lam_f - 1e-15 * M0):
             continue
-        return Barrier(M0, psi0, M0**params.p)
+        return Barrier(M0, psi0)
     raise BarrierError(
         f"no admissible supersolution cap for lambda={lam} (lambda too large)"
     )
@@ -224,10 +224,7 @@ def _newton_pieces(mesh, params, lam_f, u):
     # the O(n) stencil
     if mesh.kind == "rectangle":
         A = None
-        hx, hy = mesh.spacing
-        Lu = np.empty(mesh.shape)
-        _kernels.lap2d_apply(u.reshape(mesh.shape), Lu, 1.0 / hx**2, 1.0 / hy**2)
-        Lu = Lu.ravel()
+        Lu = laplacian_apply(mesh, u.reshape(mesh.shape)).values.ravel()
     else:
         A = constants.dense_op(mesh)
         Lu = A @ u
@@ -349,16 +346,14 @@ class PassGeometry:
     E1: float  # unforced floor value on the sphere
     E0: float  # forced floor (= E1/4 at the gate amplitude)
     beta_f: float  # largest lambda with J >= E0 on the sphere
-    lambda_star: float  # witness stays in the half ball below this
-    C_emb: float
 
 
 def mountain_pass_geometry(mesh: DomainMesh, params: ProblemParams) -> PassGeometry:
     """Recompute the small-sphere energy geometry from discrete constants.
 
-    Maximizing rho^2/4 - C_emb rho^{p+1}/(p+1) gives the bump radius; the
-    floor at the gate amplitude is a quarter of the unforced maximum.
-    All constants are the mesh's own, so the resulting bounds hold
+    Maximizing rho^2/4 - C rho^{p+1}/(p+1), C = S^{-(p+1)/2}, gives the bump
+    radius; the floor at the gate amplitude is a quarter of the unforced
+    maximum.  All constants are the mesh's own, so the resulting bounds hold
     discretely, not just asymptotically.
     """
     p = params.p
@@ -368,14 +363,9 @@ def mountain_pass_geometry(mesh: DomainMesh, params: ProblemParams) -> PassGeome
     rho0 = (2.0 * C) ** (-1.0 / (p - 1.0))
     E1 = rho0**2 * (p - 1.0) / (4.0 * (p + 1.0))
     E0 = 0.25 * E1
-    if params.f is not None:
-        fnorm = lp_norm(mesh, params.f, 2.0)
-        beta_f = np.sqrt(3.0 * E1 * lam1) / (2.0 * fnorm)
-        lambda_star = np.sqrt(lam1) * rho0 / (2.0 * fnorm)
-    else:
-        beta_f = np.inf
-        lambda_star = np.inf
-    return PassGeometry(rho0, E1, E0, float(beta_f), float(lambda_star), C)
+    beta_f = (np.sqrt(3.0 * E1 * lam1) / (2.0 * lp_norm(mesh, params.f, 2.0))
+              if params.f is not None else np.inf)
+    return PassGeometry(rho0, E1, E0, float(beta_f))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +410,11 @@ def descent_minimize(mesh: DomainMesh, params: ProblemParams,
     rho0 = mountain_pass_geometry(mesh, params).rho0 if ball else None
 
     u = np.zeros(mesh.shape)
-    if params.lam > 0 and membership_M(mesh, params.f).member:
-        u = kirchhoff_linear_solve(mesh, params).values
+    if params.lam > 0:
+        try:
+            u = kirchhoff_linear_solve(mesh, params).values
+        except NonMemberError:
+            pass
         if ball:
             sem = h1_seminorm(mesh, u)
             if sem > 0.5 * rho0:

@@ -424,35 +424,31 @@ class UniquenessRecord:
     certified: bool  # count <= 1 and contraction < 1
 
 
-def uniqueness_probe(mesh: DomainMesh, params: ProblemParams, lams,
-                     config: SolverConfig) -> list:
-    """Distinct-solution count per lambda plus the contraction quantity.
+def uniqueness_probe(mesh: DomainMesh, params: ProblemParams,
+                     config: SolverConfig) -> UniquenessRecord:
+    """Distinct-solution count at params.lam plus the contraction quantity.
 
     Counts come from ``multi_start`` seeded with the ``battery`` outputs.
     The quantity C2 + |grad v| C1 with C1 = 2 alpha b (2|grad v|)^{2a-1},
     C2 = (p/lambda_1)(2 sup v)^{p-1} bounds the energy-difference of two
-    hypothetical solutions; below 1 it certifies at-most-one.  Counts are
+    hypothetical solutions; below 1 it certifies at-most-one.  The count is
     recorded either way (exploratory at large lambda).
     """
     if regime_letter(params, mesh.dim) != "A":
         raise RegimeError("the uniqueness probe runs in regime A only")
     lam1, _ = constants.eigenpair(mesh)
-    out = []
-    for lam in lams:
-        p_lam = replace(params, lam=float(lam))
-        sols = multi_start(mesh, p_lam, config,
-                           [o.solution for o in battery(mesh, p_lam, config)])
-        if sols:
-            u = sols[0]
-            sem = u.seminorm
-            c1 = 2.0 * params.alpha * params.b * (2.0 * sem) ** (2.0 * params.alpha - 1.0)
-            c2 = (params.p / lam1) * (2.0 * sup_norm(mesh, u.solution)) ** (params.p - 1.0)
-            q = c2 + sem * c1
-        else:
-            q = float("nan")
-        out.append(UniquenessRecord(float(lam), len(sols), q,
-                                    len(sols) <= 1 and q < 1.0))
-    return out
+    sols = multi_start(mesh, params, config,
+                       [o.solution for o in battery(mesh, params, config)])
+    if sols:
+        u = sols[0]
+        sem = u.seminorm
+        c1 = 2.0 * params.alpha * params.b * (2.0 * sem) ** (2.0 * params.alpha - 1.0)
+        c2 = (params.p / lam1) * (2.0 * sup_norm(mesh, u.solution)) ** (params.p - 1.0)
+        q = c2 + sem * c1
+    else:
+        q = float("nan")
+    return UniquenessRecord(float(params.lam), len(sols), q,
+                            len(sols) <= 1 and q < 1.0)
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def test_run_threshold_without_lambda_keeps_forcing(tmp_path, monkeypatch):
 
     def fake(mesh, params, config):
         seen.append(params)
-        return ThresholdEstimate(1.0, 1.05, ((1.0, True, "picard"),), 0.1, 1.0)
+        return ThresholdEstimate(1.0, 1.05, ((1.0, True, "picard"),))
 
     monkeypatch.setattr(cli, "estimate_Lambda_f", fake)
     code, out = run_cfg(tmp_path, THRESHOLD_B + "f = constant 1.0\n")

@@ -1,9 +1,11 @@
 """Mesh construction, discrete operators, norms and spectral constants."""
 
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kirchhoff_lab
-from kirchhoff_lab import _kernels
+from kirchhoff_lab import _kernels, constants
 from kirchhoff_lab.exceptions import ConvergenceError, MeshError, MeshMismatchError
 from kirchhoff_lab.mesh import (
     GridFunction,
@@ -303,7 +305,7 @@ def test_local_minres_and_sine_poisson_on_random_rectangles(mx, my, Lx, Ly, coef
                                                             shift, kappa, seed):
     # shift < 0 gives a definite local part; up to 8 coeff*lam1 it has
     # several negative eigenvalues, and kappa >= 0 adds the rank-one term;
-    # sine_poisson is the preconditioner
+    # the sine transform of _kernels.sine_solver is the preconditioner
     mesh = build_mesh("rectangle", (Lx, Ly), (mx + 2, my + 2))
     hx, hy = mesh.spacing
     assume(abs(hx - hy) > 1e-3 * max(hx, hy))
@@ -375,6 +377,39 @@ def test_rectangle_eigenfunction_consistency():
 
 # ---------------------------------------------------------------------------
 # spectral constants
+
+
+def test_constants_cache_builds_each_key_once_per_mesh(monkeypatch):
+    builds = []
+
+    def counted(name, fn):
+        def build(mesh, *args):
+            p = args if name == "sobolev_minimizer" else ()
+            builds.append((name, id(mesh), *p))
+            return fn(mesh, *args)
+        return build
+
+    for name in ("principal_eigenpair", "sobolev_minimizer", "dense_operator",
+                 "poisson_solve"):
+        monkeypatch.setattr(constants, name, counted(name, getattr(constants, name)))
+    meshes = [build_mesh("interval", 1.0, 17), build_mesh("ball", 1.0, 33)]
+    for mesh in meshes:
+        for _ in range(2):
+            phi = constants.eigenpair(mesh)[1]
+            assert constants.sobolev(mesh, 4) is constants.sobolev(mesh, 4.0)
+            constants.sobolev(mesh, 2)
+            constants.dense_op(mesh)
+            constants.torsion(mesh)
+    assert sorted(builds) == sorted(
+        (name, id(mesh), *p) for mesh in meshes for name, p in (
+            ("principal_eigenpair", ()), ("sobolev_minimizer", (4.0,)),
+            ("sobolev_minimizer", (2.0,)), ("dense_operator", ()),
+            ("poisson_solve", ())))
+    # the cached fields refer back to their mesh; the cache must free both
+    mesh_ref, values_ref = weakref.ref(meshes[-1]), weakref.ref(phi.values)
+    del meshes, mesh, phi
+    gc.collect()
+    assert mesh_ref() is None and values_ref() is None
 
 
 def test_interval_principal_eigenvalue_closed_form():

@@ -30,6 +30,7 @@ from kirchhoff_lab.mesh import (
     build_mesh,
     h1_seminorm,
     laplacian_apply,
+    lp_norm,
     sup_norm,
 )
 from kirchhoff_lab.problem import ProblemParams, compute_b0
@@ -79,7 +80,7 @@ def test_barrier_unit_interval_p6(interval):
     params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(interval))
     bar = build_barrier(interval, params)
     assert bar.M0 == 1.0
-    assert bar.lambda_cap == 1.0
+    assert params.lam < bar.M0**params.p
     assert abs(sup_norm(interval, bar.psi0) - 0.125) < 1e-14
 
 
@@ -100,7 +101,7 @@ def test_barrier_ladder_descends_on_long_interval():
     params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.01, f=const_one(mesh))
     bar = build_barrier(mesh, params)
     assert bar.M0 == 0.125
-    assert bar.lambda_cap == 0.015625
+    assert params.lam < bar.M0**params.p == 0.015625
 
 
 def test_barrier_cap_semantics(interval):
@@ -192,6 +193,24 @@ def test_picard_reports_blow_up():
     assert out.message == "iterates blew up"
     assert out.iterations == 3
     assert np.all(out.solution.values == 0.0)
+
+
+def test_picard_reports_escape_from_barrier_sandwich(monkeypatch):
+    # regime C with the real barrier shrunk 1000-fold: the linear comparison
+    # start is no longer below psi0, so the first sandwich check fails
+    mesh = build_mesh("ball", (1.0,), 33)
+    params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(mesh))
+    real = solvers.build_barrier
+
+    def shrunk(mesh, params):
+        bar = real(mesh, params)
+        return replace(bar, psi0=1e-3 * bar.psi0)
+
+    monkeypatch.setattr(solvers, "build_barrier", shrunk)
+    out = picard_iterate(mesh, params, SolverConfig())
+    assert not out.converged
+    assert out.message == "iterate escaped the barrier sandwich"
+    assert out.iterations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +375,20 @@ def test_newton_reports_rank_one_update_degenerate(interval, monkeypatch):
     assert out.iterations == 0
 
 
+def test_newton_reports_iterates_blew_up():
+    # a start of 1e14 phi1 already lies past the blow-up bound 1e12 (1 + sup
+    # lambda f): the first accepted step ends the solve with the zero field
+    mesh = build_mesh("interval", (1.0,), 129)
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(mesh))
+    _, phi1 = constants.eigenpair(mesh)
+    out = newton_nonlocal(mesh, params, SolverConfig(), 1e14 * phi1)
+    assert not out.converged
+    assert out.message == "iterates blew up"
+    assert out.iterations == 0
+    assert np.all(out.solution.values == 0.0)
+    assert len(out.residual_history) == 1
+
+
 def test_newton_recovers_manufactured_solution_on_rectangle():
     # discrete manufactured solution on 63x63 interior nodes (3969 unknowns,
     # whose dense Jacobian alone would take 126 MB): lam f is set so that
@@ -419,12 +452,12 @@ def test_pass_geometry_consistency(ball):
     params = ProblemParams(b=1.0, alpha=1.0, p=p, lam=0.02, f=const_one(ball))
     geom = mountain_pass_geometry(ball, params)
     S, _ = constants.sobolev(ball, p)
-    assert geom.C_emb == pytest.approx(S ** (-(p + 1) / 2), rel=1e-12)
-    assert geom.rho0 == pytest.approx((2 * geom.C_emb) ** (-1 / (p - 1)), rel=1e-12)
+    C = S ** (-(p + 1) / 2)
+    assert geom.rho0 == pytest.approx((2 * C) ** (-1 / (p - 1)), rel=1e-12)
     assert geom.E1 == pytest.approx(geom.rho0**2 * (p - 1) / (4 * (p + 1)), rel=1e-12)
     assert geom.E0 == pytest.approx(geom.E1 / 4, rel=1e-15)
     assert 0 < geom.E0 < geom.E1
-    assert geom.beta_f > 0 and geom.lambda_star > 0
+    assert geom.beta_f > 0
 
 
 def test_sphere_energy_floor_random_fields(ball):
@@ -448,7 +481,11 @@ def test_witness_stays_in_half_ball_below_lambda_star(ball):
     f = const_one(ball)
     probe = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1.0, f=f)
     geom = mountain_pass_geometry(ball, probe)
-    lam = 0.99 * geom.lambda_star
+    # |grad w| <= lambda |grad v| <= lambda |f|_2 / sqrt(lambda1), so the
+    # witness w stays in the half ball |grad w| <= rho0/2 below lambda_star
+    lam1, _ = constants.eigenpair(ball)
+    lambda_star = np.sqrt(lam1) * geom.rho0 / (2.0 * lp_norm(ball, f, 2.0))
+    lam = 0.99 * lambda_star
     w = kirchhoff_linear_solve(ball, ProblemParams(b=1.0, alpha=1.0, p=4.0,
                                                    lam=lam, f=f))
     assert h1_seminorm(ball, w) <= 0.5 * geom.rho0 * (1 + 1e-10)

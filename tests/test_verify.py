@@ -450,22 +450,17 @@ def test_uniqueness_probe_small_lambda(interval):
     b0 = b0_for(interval)
     params = ProblemParams(b=2.0 * b0, alpha=1.0, p=2.0, lam=1e-3,
                            f=const_one(interval))
-    recs = uniqueness_probe(interval, params, [1e-3], SolverConfig())
-    assert len(recs) == 1
-    assert recs[0].count == 1
-    assert recs[0].contraction < 1.0
-    assert recs[0].certified
-
-
-def test_uniqueness_probe_empty(interval):
-    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.1, f=const_one(interval))
-    assert uniqueness_probe(interval, params, [], SolverConfig()) == []
+    rec = uniqueness_probe(interval, params, SolverConfig())
+    assert rec.lam == 1e-3
+    assert rec.count == 1
+    assert rec.contraction < 1.0
+    assert rec.certified
 
 
 def test_uniqueness_probe_regime_gate(interval):
     params = ProblemParams(b=1.0, alpha=0.5, p=3.0, lam=0.1, f=const_one(interval))
     with pytest.raises(RegimeError):
-        uniqueness_probe(interval, params, [0.1], SolverConfig())
+        uniqueness_probe(interval, params, SolverConfig())
 
 
 def test_supnorm_decay_scan(interval):
