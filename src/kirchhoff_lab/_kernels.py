@@ -173,14 +173,15 @@ def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
     # Integrate u'' + ((dim-1)/r) u' = -(c_pow*max(u,0)^p + c_f*f(r))
     # outward from r=0 with u(0)=u0, u'(0)=0.  f_half holds the forcing
     # sampled at r = k*h/2 (2*nsteps+1 values) so every RK4 stage sees an
-    # exact sample.  At r=0 the symmetric limit u''(0) = -g(0)/dim applies.
+    # exact sample; it is scaled by c_f once per shot.  At r=0 the
+    # symmetric limit u''(0) = -g(0)/dim applies.
     # The loop runs on Python floats, bit-identical to numpy scalars and
     # about 3x cheaper per step; memoryviews read and write the arrays'
     # doubles as Python floats without a list copy.  A power that
     # overflows raises OverflowError (numpy gave inf): the shot stops there
     # and the rest of the profile is nan, so a blow-up still ends in a
     # non-finite endpoint.
-    fh = memoryview(f_half)
+    fh = memoryview(c_f * f_half)
     uv = memoryview(u)
     dv = memoryview(du)
     h = float(h)
@@ -195,7 +196,7 @@ def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
             r = k * h
 
             up = y if y > 0.0 else 0.0
-            g = c_pow * up**p + c_f * fh[2 * k]
+            g = c_pow * up**p + fh[2 * k]
             if r < tiny:
                 k1v = -g / dim
             else:
@@ -206,14 +207,14 @@ def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
             y2 = y + hh * k1y
             v2 = v + hh * k1v
             up = y2 if y2 > 0.0 else 0.0
-            g = c_pow * up**p + c_f * fh[2 * k + 1]
+            g = c_pow * up**p + fh[2 * k + 1]
             k2v = -g - nu * v2 / rm
             k2y = v2
 
             y3 = y + hh * k2y
             v3 = v + hh * k2v
             up = y3 if y3 > 0.0 else 0.0
-            g = c_pow * up**p + c_f * fh[2 * k + 1]
+            g = c_pow * up**p + fh[2 * k + 1]
             k3v = -g - nu * v3 / rm
             k3y = v3
 
@@ -221,7 +222,7 @@ def rk4_radial(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
             y4 = y + h * k3y
             v4 = v + h * k3v
             up = y4 if y4 > 0.0 else 0.0
-            g = c_pow * up**p + c_f * fh[2 * k + 2]
+            g = c_pow * up**p + fh[2 * k + 2]
             k4v = -g - nu * v4 / rp
             k4y = v4
 

@@ -333,8 +333,6 @@ def l2_inner(mesh: DomainMesh, u, v) -> float:
 # that test, ~1e-7 in sup norm
 EIGEN_TOL = 1e-10
 EIGEN_MAX_ITER = 400
-SOBOLEV_TOL = 1e-8  # sobolev_minimizer's weighted-l2 gradient norm target
-SOBOLEV_MAX_ITER = 200000
 
 
 def principal_eigenpair(mesh: DomainMesh):
@@ -366,41 +364,3 @@ def principal_eigenpair(mesh: DomainMesh):
     phi = v if v.flat[np.argmax(np.abs(v))] > 0 else -v
     phi = phi / np.max(np.abs(phi))
     return float(lam), GridFunction(mesh, phi)
-
-
-def sobolev_minimizer(mesh: DomainMesh, p: float):
-    """Minimize the embedding quotient |grad u|_2^2 / |u|_{p+1}^2.
-
-    Returns ``(S, u)`` with u normalized to unit L^{p+1} norm, satisfying
-    the stationarity equation (-lap u) = S |u|^{p-1} u to a weighted-l2
-    gradient norm of 1e-8 * max(1, S), within 200000 sweeps.  Normalized
-    inverse iteration from phi1: each sweep solves the Poisson problem
-    with |u|^{p-1} u on the right and rescales.
-    The discrete quotient is mesh-dependent; downstream constants use the
-    mesh value everywhere.
-    """
-    if not p >= 1:
-        raise ValueError(f"embedding exponent must satisfy p >= 1, got {p}")
-    _, phi = principal_eigenpair(mesh)
-    u = phi.values / lp_norm(mesh, phi, p + 1.0)
-    S = float(l2_inner(mesh, u, laplacian_apply(mesh, GridFunction(mesh, u))))
-    for sweep in range(1, SOBOLEV_MAX_ITER + 1):
-        rhs = np.abs(u) ** (p - 1.0) * u
-        w = poisson_solve(mesh, rhs).values
-        # a runaway iterate overflows |w|^{p+1} inside the norm first; the
-        # non-finite norm is the blow-up signal, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = lp_norm(mesh, w, p + 1.0)
-        if not np.isfinite(norm):
-            raise ConvergenceError(
-                f"embedding-quotient iteration blew up at sweep {sweep}")
-        u = w / norm
-        Lu = laplacian_apply(mesh, GridFunction(mesh, u)).values
-        S = float(np.sum(mesh.weights * u * Lu))
-        grad = 2.0 * (Lu - S * np.abs(u) ** (p - 1.0) * u)
-        gnorm = np.sqrt(np.sum(mesh.weights * grad * grad))
-        if gnorm <= SOBOLEV_TOL * max(1.0, S):
-            return S, GridFunction(mesh, u)
-    raise ConvergenceError(
-        f"embedding-quotient iteration stalled (gradient norm {gnorm:.3e})"
-    )

@@ -119,6 +119,10 @@ def consistency_root(G: float, beta: float, b: float) -> float | None:
     equation, with beta = 2 alpha / (p - 1).  For beta > 1 zeta is convex
     with its minimum at t*, so a root exists iff zeta'(0) < 1 and
     zeta(t*) <= 0; otherwise zeta is bracketed by doubling.
+
+    The shooting oracle's outer step calls it with beta = -2 alpha < 0,
+    the linear-response model t = G (1 + b t)^(-2 alpha): zeta then falls
+    from zeta(0) = G, so for G > 0 the one root lies in (0, G].
     """
     def zeta(t):
         return (1.0 + b * t) ** beta * G - t

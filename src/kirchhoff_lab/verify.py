@@ -9,15 +9,17 @@ Everything here deliberately avoids the solver machinery it certifies:
 * ``shooting_solve``     -- RK4 marching of the radial/mirrored ODE plus
   a root search on the center value (a geometric ladder for the first
   sign change, then Brent's method inside it); a discretization fully
-  independent of the grid stencils.  The ladder starts at half a proven
-  floor a_lo below which the endpoint u_a(R) cannot change sign:
-  a_lo = -u_0(R) for a nonnegative forcing (u_a(R) <= a + u_0(R)), and
-  a_lo = (2 dim / (c_pow R^2))^(1/(p-1)) unforced
-  (u_a(R) >= a - c_pow a^p R^2 / (2 dim)); the factor 1/2 is a margin
-  against RK4 error.  ``homogeneous_shooting`` adds the
-  scalar consistency analysis for the unforced problem,
-  ``kirchhoff_shooting`` a secant outer loop on the nonlocal
-  coefficient for the forced one.
+  independent of the grid stencils.  The ladder starts at a proven floor
+  a_lo below which the endpoint u_a(R) cannot change sign, with rungs
+  a_lo 2^k: a_lo = -u_0(R) for a nonnegative forcing (u_a(R) <= a + u_0(R)),
+  and a_lo = (2 dim / (c_pow R^2))^(1/(p-1)) unforced
+  (u_a(R) >= a - c_pow a^p R^2 / (2 dim)); without a floor it climbs
+  2^k from a = 0.  ``homogeneous_shooting`` adds the scalar consistency
+  analysis for the unforced problem, ``kirchhoff_shooting`` a secant
+  outer loop on the nonlocal coefficient for the forced one, whose
+  second iterate comes from a linear-response model and whose inner
+  solves after the first reuse u_0(R), scaled by c_f, and bracket the
+  root next to the last one, scaled the same way.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -147,6 +149,7 @@ def _simpson(y: np.ndarray, h: float) -> float:
 # RK4 steps per grid spacing (per half spacing on the mirrored interval)
 REFINE = 8
 MAX_OUTER = 300  # inner solves before kirchhoff_shooting gives up
+TRACK_MARGIN = 1e-9  # relative step above the scaled last root
 
 
 class _ShootingSetup:
@@ -179,6 +182,8 @@ class _ShootingSetup:
         else:
             self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         self.mesh = mesh
+        # (c_f, E(0), root) of the last forced solve with a floor
+        self.track = None
 
     def shoot(self, a, p, c_pow, c_f):
         u = np.empty(self.nsteps + 1)
@@ -243,24 +248,23 @@ def _brent(f, a, b, fa, fb, xtol) -> float:
     raise ConvergenceError("Brent's method did not settle in 120 steps")
 
 
-# center values tried for the first sign change of the endpoint map
-LADDER = 2.0 ** np.arange(-30, 62, dtype=float)
+# the ladder from a = 0, used where no floor is proven: rungs 2^-30 ... 2^61
+LADDER_BOTTOM, LADDER_TOP = 2.0**-30, 2.0**61
 
 
-def _floor_rung(setup: _ShootingSetup, p, c_pow, c_f, e0) -> int:
-    """Index of the largest ladder rung <= a_lo/2, where a comparison bound
-    proves the endpoint keeps one sign on [0, a_lo); -1 without such a rung.
+def _floor(setup: _ShootingSetup, p, c_pow, c_f, e0) -> float | None:
+    """Center value a_lo > 0 below which a comparison bound proves that the
+    endpoint E(a) = u_a(R) keeps one sign, or None without such a bound.
 
-    ``e0`` is the endpoint at a = 0.  See ``_center_value`` for the bounds.
+    ``e0`` is E(0).  See ``_center_value`` for the bounds.
     """
+    if c_f == 0.0:
+        if c_pow > 0.0 and p > 1.0:
+            return (2.0 * setup.dim / (c_pow * setup.R**2)) ** (1.0 / (p - 1.0))
+        return None
     if c_pow >= 0.0 and e0 < 0.0 and np.all(c_f * setup.f_half >= 0.0):
-        log_lo = math.log2(-e0)
-    elif c_f == 0.0 and c_pow > 0.0 and p > 1.0:
-        log_lo = math.log2(2.0 * setup.dim / (c_pow * setup.R**2)) / (p - 1.0)
-    else:
-        return -1
-    k = math.floor(min(log_lo, 64.0)) - 1  # 2^k <= a_lo/2 < 2^(k+1)
-    return max(-1, min(k + 30, len(LADDER) - 1))
+        return -e0
+    return None
 
 
 def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
@@ -269,22 +273,32 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
 
     A geometric ladder finds the first sign change of the endpoint map
     E(a) = u_a(R), so the smallest crossing (the minimal branch) is kept;
-    Brent's method then pins the root inside that rung.  The ladder starts
-    at a = 0, or at the largest rung <= a_lo/2 where a comparison bound
-    proves that E(a) keeps one sign for a < a_lo:
+    Brent's method then pins the root inside that rung.  Where a
+    comparison bound proves that E(a) keeps one sign for a < a_lo, the
+    ladder starts at that floor, with rungs a_lo 2^k:
 
     * forced, with c_pow >= 0, c_f f >= 0 and E(0) < 0: g(u) >= c_f f, so
-      E(a) <= a + E(0) and a_lo = -E(0);
+      E(a) <= a + E(0) and a_lo = -E(0), E < 0 below it;
     * unforced, with c_f = 0, c_pow > 0 and p > 1: u decreases from a, so
       E(a) >= a - c_pow a^p R^2 / (2 dim) and
-      a_lo = (2 dim / (c_pow R^2))^(1/(p-1)).
+      a_lo = (2 dim / (c_pow R^2))^(1/(p-1)), E > 0 below it.
 
-    The factor 1/2 leaves a margin against RK4 error: |E(0)|/2 in the
-    forced case, a (1 - 2^(1-p)) in the unforced one.  Every skipped rung
-    has the sign of the first one shot, so the ladder meets the same first
-    sign change as from a = 0 and hands Brent the same bracket.  The
-    profiles kept are those of the last two rungs and of Brent's shots,
-    the only points that can be returned.
+    The unforced a = 0 profile is 0, so E(0) = 0 is not shot.  The forced
+    bound is tight when c_pow a^p is below round-off, so E(a_lo) >= 0 is
+    rounding on a crossing at the floor, and that shot is the root.  The
+    unforced bound is strict at a_lo (u < a for r > 0), so E(a_lo) < 0 can
+    only be RK4 error: Brent then searches [a_lo/2, a_lo], and E(a_lo/2)
+    <= 0 raises ``ConvergenceError``.  Without a floor the ladder climbs
+    the rungs 2^k from a = 0.
+
+    The setup remembers the forced floor's E(0) and the root of the last
+    solve.  Under the forced bound the a = 0 shot never leaves u <= 0, so
+    it is linear in c_f: a later solve with c_f of the same sign takes
+    E(0) scaled by c_f instead of a shot, shoots a_lo, then a point just
+    above the last root scaled by c_f, and climbs rungs from there; in
+    the usual case those two shots are the bracket Brent starts from.
+    The profiles kept are those of the last two rungs and of Brent's
+    shots, the only points that can be returned.
     """
     shots = {}
 
@@ -292,27 +306,52 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
         shots[a] = setup.shoot(a, p, c_pow, c_f)
         return float(shots[a][0][-1])
 
-    prev_a = 0.0
-    prev_val = endpoint(0.0)
-    if prev_val == 0.0 and c_f != 0.0:
-        return shots[0.0]
-    start = _floor_rung(setup, p, c_pow, c_f, prev_val)
-    if start >= 0:
-        del shots[prev_a]
-        prev_a = float(LADDER[start])
-        prev_val = endpoint(prev_a)
-    for a in LADDER[start + 1:].tolist():
+    def root(a):
+        setup.track = (c_f, e0, a) if a_lo is not None and c_f != 0.0 else None
+        return shots[a]
+
+    track = setup.track
+    if track is not None and track[0] * c_f > 0.0 and c_pow >= 0.0:
+        scale = c_f / track[0]
+        e0 = track[1] * scale
+    elif c_f == 0.0:
+        track, e0 = None, 0.0
+    else:
+        track, e0 = None, endpoint(0.0)
+        if e0 == 0.0:
+            return shots[0.0]
+    a_lo = _floor(setup, p, c_pow, c_f, e0)
+    if a_lo is None:
+        prev_a, prev_val, a = 0.0, e0, LADDER_BOTTOM
+    else:
+        prev_a, prev_val = a_lo, endpoint(a_lo)
+        if c_f == 0.0 and prev_val < 0.0:
+            # the unforced bound is strict at a_lo: RK4 error, not a crossing
+            half = 0.5 * a_lo
+            val = endpoint(half)
+            if not val > 0.0:
+                raise ConvergenceError("shooting map not positive below the floor")
+            return shots[_brent(endpoint, half, a_lo, val, prev_val,
+                                1e-15 * max(1.0, a_lo))]
+        below = 1.0 if c_f == 0.0 else -1.0  # the sign of E below a_lo
+        if prev_val * below <= 0.0 and math.isfinite(prev_val):
+            return root(a_lo)
+        if track is None:
+            a = 2.0 * a_lo
+        else:
+            a = track[2] * scale * (1.0 + TRACK_MARGIN)
+    while a <= LADDER_TOP:
         val = endpoint(a)
         if not math.isfinite(val):
             break
         if val == 0.0:
-            return shots[a]
+            return root(a)
         if prev_val != 0.0 and np.sign(val) != np.sign(prev_val):
-            b = _brent(endpoint, prev_a, a, prev_val, val,
-                       1e-15 * max(1.0, a))
-            return shots[b]
-        del shots[prev_a]
+            return root(_brent(endpoint, prev_a, a, prev_val, val,
+                               1e-15 * max(1.0, a)))
+        shots.pop(prev_a, None)
         prev_a, prev_val = a, val
+        a *= 2.0
     raise ConvergenceError("no sign change in the shooting map over the bracket")
 
 
@@ -382,11 +421,15 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     Inner loop: semilinear shooting with the coefficient frozen at
     (1+b t).  Outer loop: secant iteration on F(t) = T(t) - t, where
     T(t) = |grad u|^{2 alpha} of the inner profile, taken from the fine
-    profile by Simpson quadrature; it starts from t = 0 and t = T(0),
-    falls back to the damped step t + F(t)/2 when a secant step is not
-    finite or would make t negative, and stops once
-    |F(t)| <= 1e-10 max(1, t), returning the profile shot at that t.
-    ``MAX_OUTER`` caps the number of inner solves.
+    profile by Simpson quadrature.  It starts from t = 0 and the root t1
+    of the linear-response model t = T(0) (1 + b t)^(-2 alpha), which
+    holds exactly when the inner profile is linear in c_f = lambda/(1+bt)
+    and uses nothing but the first inner solve.  It falls back to the
+    damped step t + F(t)/2 when a secant step is not finite or would make
+    t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning the
+    profile shot at that t.  Inner solves after the first start from the
+    last one's floor and root (see ``_center_value``).  ``MAX_OUTER``
+    caps the number of inner solves.
     """
     if params.lam > 0.0 and f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")
@@ -401,7 +444,8 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
         if abs(F) <= 1e-10 * max(1.0, t):
             return setup.to_grid(prof)
         if t_prev is None:
-            step = F  # t1 = T(0)
+            # from t = 0 to the root t1 of t = T(0) (1 + b t)^(-2 alpha)
+            step = consistency_root(F, -2.0 * params.alpha, params.b)
         else:
             dF = F - F_prev
             step = -F * (t - t_prev) / dF if dF != 0.0 else math.inf

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kirchhoff_lab.constants import sobolev_minimizer
 from kirchhoff_lab.energy import energy_eval, energy_gradient
 from kirchhoff_lab.forcing import constant_forcing, quartic_forcing
 from kirchhoff_lab.mesh import (
@@ -12,7 +13,6 @@ from kirchhoff_lab.mesh import (
     l2_inner,
     lp_norm,
     principal_eigenpair,
-    sobolev_minimizer,
 )
 from kirchhoff_lab.problem import ProblemParams
 from kirchhoff_lab.scalar_reduction import kirchhoff_linear_solve

@@ -1,5 +1,7 @@
 """Scalar root equation and the exact change-of-variables reductions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,3 +181,13 @@ def test_consistency_root_matches_scan(G, alpha, p, b, exists):
     i = int(np.argmax(zeta <= 0.0))  # first scan node at or past the root
     assert i > 0 and t[i - 1] <= root <= t[i]
     assert abs((1.0 + b * root) ** beta * G - root) <= 1e-12 * max(1.0, root)
+
+
+@pytest.mark.parametrize("G, beta, b, expect", [
+    (1.0, -2.0, 1.0, 0.465571231876768),  # t (1 + t)^2 = 1: t^3 + 2t^2 + t - 1
+    (2.0, -1.0, 0.5, math.sqrt(5.0) - 1.0),  # t (1 + t/2) = 2: t^2 + 2t - 4
+])
+def test_consistency_root_negative_beta_known_answers(G, beta, b, expect):
+    # beta < 0 is the shooting oracle's linear-response outer step; zeta
+    # falls from G > 0, so its one root lies in (0, G]
+    assert consistency_root(G, beta, b) == pytest.approx(expect, abs=1e-14)

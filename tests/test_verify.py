@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from kirchhoff_lab import constants, verify
+from kirchhoff_lab import _kernels, constants, verify
 from kirchhoff_lab.energy import energy_eval
 from kirchhoff_lab.exceptions import ConvergenceError, MeshError, RegimeError
 from kirchhoff_lab.forcing import file_forcing, make_forcing, quartic_forcing
@@ -391,27 +391,38 @@ def shots(monkeypatch):
 
 
 def test_kirchhoff_shooting_shot_budget(ball, shots):
-    # four inner solves of about 6 shots each: a = 0, the floor rung, the
-    # ladder above it and Brent; the root's profile is kept, not shot again
+    # two inner solves: a = 0, the floor, twice the floor and Brent; then
+    # the floor, a point above the last root scaled by c_f and Brent.  The
+    # root's profile is kept, not shot again
     params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
     oracle = kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
-    assert 0 < len(shots) <= 24
+    assert 0 < len(shots) <= 8
     assert sup_norm(ball, oracle) > 0.0
 
 
+def test_kirchhoff_shooting_mountain_pass_shot_budget(ball, shots):
+    # the mountain-pass verify config: the linear-response outer step
+    # lands within the outer tolerance, so two inner solves suffice
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=const_one(ball))
+    kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
+    assert 0 < len(shots) <= 9
+
+
 def test_homogeneous_shooting_shot_budget(shots):
-    # a = 0, the floor rung 4, rungs 8 and 16, then Brent inside [8, 16]
+    # no a = 0 shot (its endpoint is exactly 0): the ladder starts at the
+    # floor (2 dim / R^2)^(1/(p-1)) = 8, then Brent inside [8, 16]
     probe = homogeneous_shooting(build_mesh("interval", (1.0,), 129),
                                  p=2.0, alpha=1.0, b=0.1)
     assert probe.boundary_defect <= 1e-8
-    assert shots[:2] == [0.0, 4.0]
-    assert len(shots) <= 11
+    assert shots[:2] == [8.0, 16.0]
+    assert len(shots) <= 9
 
 
 @pytest.mark.parametrize("kind", ["interval", "ball"])
 def test_ladder_floor_skips_only_same_sign_rungs(kind):
-    # the comparison bounds behind the floor, checked rung by rung: every
-    # skipped rung has the sign of the floor rung the ladder starts from
+    # the comparison bounds behind the floor: everything the ladder skips,
+    # from far below up to just below the floor a_lo it starts from, has
+    # the floor's sign; the unforced bound is strict at a_lo itself
     mesh = build_mesh(kind, (1.0,), 129 if kind == "interval" else 65)
     forced = verify._ShootingSetup(mesh, lambda x: np.ones_like(x))
     unforced = verify._ShootingSetup(mesh, None)
@@ -420,13 +431,168 @@ def test_ladder_floor_skips_only_same_sign_rungs(kind):
             for setup, c_f in ((forced, 1e-6), (forced, 1e-3), (forced, 10.0),
                                (unforced, 0.0)):
                 e0 = shot_end(setup, 0.0, p, c_pow, c_f)
-                k = verify._floor_rung(setup, p, c_pow, c_f, e0)
-                assert k >= 0
-                sign = np.sign(shot_end(setup, verify.LADDER[k], p, c_pow, c_f))
-                assert sign == (-1.0 if c_f > 0.0 else 1.0)
-                for a in verify.LADDER[:k]:
+                a_lo = verify._floor(setup, p, c_pow, c_f, e0)
+                assert a_lo is not None and a_lo > 0.0
+                sign = -1.0 if c_f > 0.0 else 1.0
+                skipped = [a_lo * 2.0**-k for k in range(1, 31)]
+                skipped += [a_lo * (1.0 - 2.0**-k) for k in range(1, 21)]
+                if c_f == 0.0:
+                    skipped.append(a_lo)
+                for a in skipped:
                     assert np.sign(shot_end(setup, a, p, c_pow, c_f)) == sign, (
-                        p, c_pow, c_f, a)
+                        p, c_pow, c_f, a / a_lo)
+
+
+def test_unforced_wrong_sign_at_floor_searches_below(monkeypatch):
+    # E(a_lo) < 0 unforced can only be RK4 error: a floor placed past the
+    # first crossing makes the solve search [a_lo/2, a_lo] for the same root
+    setup = verify._ShootingSetup(build_mesh("interval", (1.0,), 129), None)
+    root = verify._center_value(setup, 2.0, 1.0, 0.0)[0][0]
+    assert shot_end(setup, 1.5 * root, 2.0, 1.0, 0.0) < 0.0
+    monkeypatch.setattr(verify, "_floor", lambda *args: 1.5 * root)
+    got = verify._center_value(setup, 2.0, 1.0, 0.0)[0]
+    assert got[0] == pytest.approx(root, rel=1e-14)
+    assert abs(got[-1]) <= 1e-12
+    monkeypatch.setattr(verify, "_floor", lambda *args: 3.0 * root)
+    with pytest.raises(ConvergenceError, match="below the floor"):
+        verify._center_value(setup, 2.0, 1.0, 0.0)
+
+
+def test_ladder_without_floor_shoots_zero_in_every_inner_solve(ball, shots,
+                                                                monkeypatch):
+    # a sign-changing forcing proves no floor, and the a = 0 profile can go
+    # positive, so its endpoint is not linear in c_f: every inner solve
+    # shoots a = 0 and climbs the ladder from there.  The oracle still
+    # passes the verify check against the grid solution
+    solves = []
+    center_value = verify._center_value
+
+    def counted(*args):
+        solves.append(args[1:])
+        return center_value(*args)
+
+    monkeypatch.setattr(verify, "_center_value", counted)
+    forcing = make_forcing(ball, "quartic-signchanging")
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=forcing.field)
+    oracle = kirchhoff_shooting(ball, params, f_fn=forcing.fn)
+    assert len(solves) >= 2
+    assert shots.count(0.0) == len(solves)
+    out = picard_iterate(ball, params, SolverConfig())
+    assert out.converged
+    scale = sup_norm(ball, out.solution)
+    bound = max(0.01 * scale, 10.0 * ball.h**2 * scale)
+    assert sup_norm(ball, out.solution - oracle) <= bound
+
+
+# center values of the benchmark's oracle cases, as computed by the oracle
+# that restarted every inner solve from a = 0 with t1 = T(0)
+ORACLE_CENTERS = {
+    "uniqueness": 0.00012499952493708635,
+    "supercritical": 0.0016579511450665948,
+    "mountain-pass": 0.008327528022736829,
+    "b0-scan": 11.822075713446333,
+}
+
+
+def test_oracle_center_values_unchanged(ball):
+    one = lambda x: np.ones_like(x)  # noqa: E731
+    fine = build_mesh("interval", (1.0,), 513)
+    coarse = build_mesh("interval", (1.0,), 129)
+    uniq = ProblemParams(b=2.0 * b0_for(fine), alpha=1.0, p=2.0, lam=1e-3,
+                         f=const_one(fine))
+    got = {
+        "uniqueness": kirchhoff_shooting(fine, uniq, f_fn=one).values[256],
+        "supercritical": kirchhoff_shooting(
+            ball, ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01,
+                                f=const_one(ball)), f_fn=one).values[0],
+        "mountain-pass": kirchhoff_shooting(
+            ball, ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05,
+                                f=const_one(ball)), f_fn=one).values[0],
+        "b0-scan": homogeneous_shooting(
+            coarse, 2.0, 1.0, 0.01 * b0_for(coarse)).solution.values[64],
+    }
+    for name, center in ORACLE_CENTERS.items():
+        assert got[name] == pytest.approx(center, rel=1e-9, abs=0.0), name
+
+
+def _rk4_reference(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
+    # the RK4 shot as first written, with the forcing scaled by c_f at
+    # every stage instead of once per shot
+    fh = memoryview(f_half)
+    uv = memoryview(u)
+    dv = memoryview(du)
+    h = float(h)
+    hh = 0.5 * h
+    h6 = h / 6.0
+    nu = dim - 1.0
+    tiny = 1e-300
+    y = uv[0] = float(u0)
+    v = dv[0] = 0.0
+    try:
+        for k in range(nsteps):
+            r = k * h
+
+            up = y if y > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k]
+            if r < tiny:
+                k1v = -g / dim
+            else:
+                k1v = -g - nu * v / r
+            k1y = v
+
+            rm = r + hh
+            y2 = y + hh * k1y
+            v2 = v + hh * k1v
+            up = y2 if y2 > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k + 1]
+            k2v = -g - nu * v2 / rm
+            k2y = v2
+
+            y3 = y + hh * k2y
+            v3 = v + hh * k2v
+            up = y3 if y3 > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k + 1]
+            k3v = -g - nu * v3 / rm
+            k3y = v3
+
+            rp = r + h
+            y4 = y + h * k3y
+            v4 = v + h * k3v
+            up = y4 if y4 > 0.0 else 0.0
+            g = c_pow * up**p + c_f * fh[2 * k + 2]
+            k4v = -g - nu * v4 / rp
+            k4y = v4
+
+            y = uv[k + 1] = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            v = dv[k + 1] = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    except OverflowError:
+        u[k + 1:] = np.nan
+        du[k + 1:] = np.nan
+    return u, du
+
+
+@pytest.mark.parametrize("kind", ["interval", "ball"])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("a, c_pow, c_f", [(0.3, 1.0, 0.0), (0.3, 1.0, 2.5),
+                                           (0.0, 1.0, 0.7), (1e100, 1.0, 0.0),
+                                           (3.0, -1.0, 0.0)])
+def test_rk4_matches_reference_bit_for_bit(kind, p, a, c_pow, c_f):
+    # forced and unforced shots in dim 1 and 3; a = 1e100 overflows the
+    # power in the first step, and c_pow = -1 blows up partway out: the
+    # profile is nan from the same index on
+    mesh = build_mesh(kind, (1.0,), 65)
+    setup = _ShootingSetup(mesh, lambda r: 1.0 + np.cos(3.0 * r))
+    n = setup.nsteps
+    args = (a, setup.h_s, n, setup.dim, p, c_pow, c_f, setup.f_half)
+    got = _kernels.rk4_radial(*args, np.empty(n + 1), np.empty(n + 1))
+    want = _rk4_reference(*args, np.empty(n + 1), np.empty(n + 1))
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y, equal_nan=True)
+    if p == 6.0 and a == 1e100:
+        assert np.isnan(got[0][1:]).all() and np.isfinite(got[0][0])
+    if c_pow < 0.0 and p == 6.0:
+        first_nan = int(np.argmax(np.isnan(got[0])))
+        assert 1 < first_nan < n
 
 
 def test_kirchhoff_shooting_outer_cap(ball, monkeypatch):
