@@ -11,15 +11,17 @@ Everything here deliberately avoids the solver machinery it certifies:
   sign change, then Brent's method inside it); a discretization fully
   independent of the grid stencils.  The ladder starts at a proven floor
   a_lo below which the endpoint u_a(R) cannot change sign, with rungs
-  a_lo 2^k: a_lo = -u_0(R) for a nonnegative forcing (u_a(R) <= a + u_0(R)),
-  and a_lo = (2 dim / (c_pow R^2))^(1/(p-1)) unforced
-  (u_a(R) >= a - c_pow a^p R^2 / (2 dim)); without a floor it climbs
+  a_lo 2^k: forced with c_pow >= 0, u_a(R) <= a + c_f L for the endpoint
+  L = -w(center) of one linear shot, w the Poisson witness, so
+  a_lo = -c_f L wherever that is positive, sign-changing f included;
+  unforced, a_lo = (2 dim / (c_pow R^2))^(1/(p-1))
+  (u_a(R) >= a - c_pow a^p R^2 / (2 dim)).  Without a floor it climbs
   2^k from a = 0.  ``homogeneous_shooting`` adds the scalar consistency
   analysis for the unforced problem, ``kirchhoff_shooting`` a secant
   outer loop on the nonlocal coefficient for the forced one, whose
   second iterate comes from a linear-response model and whose inner
-  solves after the first reuse u_0(R), scaled by c_f, and bracket the
-  root next to the last one, scaled the same way.
+  solves after the first bracket the root next to the last one, scaled
+  by c_f.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -182,7 +184,10 @@ class _ShootingSetup:
         else:
             self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         self.mesh = mesh
-        # (c_f, E(0), root) of the last forced solve with a floor
+        # endpoint L of the linear shot (a = 0, c_pow = 0, c_f = 1), shot on
+        # the first forced floor; L = -w(center) for the Poisson witness w
+        self.linear_end = None
+        # (c_f, root) of the last forced solve with a floor
         self.track = None
 
     def shoot(self, a, p, c_pow, c_f):
@@ -252,19 +257,22 @@ def _brent(f, a, b, fa, fb, xtol) -> float:
 LADDER_BOTTOM, LADDER_TOP = 2.0**-30, 2.0**61
 
 
-def _floor(setup: _ShootingSetup, p, c_pow, c_f, e0) -> float | None:
+def _floor(setup: _ShootingSetup, p, c_pow, c_f) -> float | None:
     """Center value a_lo > 0 below which a comparison bound proves that the
     endpoint E(a) = u_a(R) keeps one sign, or None without such a bound.
 
-    ``e0`` is E(0).  See ``_center_value`` for the bounds.
+    See ``_center_value`` for the bounds.
     """
     if c_f == 0.0:
         if c_pow > 0.0 and p > 1.0:
             return (2.0 * setup.dim / (c_pow * setup.R**2)) ** (1.0 / (p - 1.0))
         return None
-    if c_pow >= 0.0 and e0 < 0.0 and np.all(c_f * setup.f_half >= 0.0):
-        return -e0
-    return None
+    if c_pow < 0.0:
+        return None
+    if setup.linear_end is None:
+        setup.linear_end = float(setup.shoot(0.0, p, 0.0, 1.0)[0][-1])
+    a_lo = -c_f * setup.linear_end
+    return a_lo if a_lo > 0.0 else None
 
 
 def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
@@ -277,28 +285,31 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
     comparison bound proves that E(a) keeps one sign for a < a_lo, the
     ladder starts at that floor, with rungs a_lo 2^k:
 
-    * forced, with c_pow >= 0, c_f f >= 0 and E(0) < 0: g(u) >= c_f f, so
-      E(a) <= a + E(0) and a_lo = -E(0), E < 0 below it;
+    * forced, with c_pow >= 0: g(u) >= c_f f whatever the sign of f, so
+      E(a) <= a + c_f L, where L is the endpoint of the linear shot
+      (a = 0, c_pow = 0, c_f = 1), and a_lo = -c_f L, E < 0 below it.
+      L = -w(center) for the Poisson witness w, so every forcing whose
+      witness is positive at the center has a floor for c_f > 0;
     * unforced, with c_f = 0, c_pow > 0 and p > 1: u decreases from a, so
       E(a) >= a - c_pow a^p R^2 / (2 dim) and
       a_lo = (2 dim / (c_pow R^2))^(1/(p-1)), E > 0 below it.
 
-    The unforced a = 0 profile is 0, so E(0) = 0 is not shot.  The forced
-    bound is tight when c_pow a^p is below round-off, so E(a_lo) >= 0 is
-    rounding on a crossing at the floor, and that shot is the root.  The
-    unforced bound is strict at a_lo (u < a for r > 0), so E(a_lo) < 0 can
-    only be RK4 error: Brent then searches [a_lo/2, a_lo], and E(a_lo/2)
-    <= 0 raises ``ConvergenceError``.  Without a floor the ladder climbs
-    the rungs 2^k from a = 0.
+    The forced bound is tight when c_pow a^p is below round-off, so
+    E(a_lo) >= 0 is rounding on a crossing at the floor, and that shot is
+    the root.  The unforced bound is strict at a_lo (u < a for r > 0), so
+    E(a_lo) < 0 can only be RK4 error: Brent then searches [a_lo/2, a_lo],
+    and E(a_lo/2) <= 0 raises ``ConvergenceError``.  Without a floor
+    (c_pow < 0, c_f L >= 0, or unforced with c_pow <= 0 or p <= 1) the
+    ladder climbs the rungs 2^k from a = 0, shooting a = 0 when forced;
+    the unforced a = 0 profile is 0 and is not shot.
 
-    The setup remembers the forced floor's E(0) and the root of the last
-    solve.  Under the forced bound the a = 0 shot never leaves u <= 0, so
-    it is linear in c_f: a later solve with c_f of the same sign takes
-    E(0) scaled by c_f instead of a shot, shoots a_lo, then a point just
-    above the last root scaled by c_f, and climbs rungs from there; in
-    the usual case those two shots are the bracket Brent starts from.
-    The profiles kept are those of the last two rungs and of Brent's
-    shots, the only points that can be returned.
+    The setup keeps L, shot once on its first forced floor, and the root
+    of the last solve with a floor.  A later solve with c_f of the same
+    sign shoots a_lo, then a point just above the last root scaled by
+    c_f, and climbs rungs from there; in the usual case those two shots
+    are the bracket Brent starts from.  The profiles kept are those of
+    the last two rungs and of Brent's shots, the only points that can be
+    returned.
     """
     shots = {}
 
@@ -307,22 +318,16 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
         return float(shots[a][0][-1])
 
     def root(a):
-        setup.track = (c_f, e0, a) if a_lo is not None and c_f != 0.0 else None
+        setup.track = (c_f, a) if a_lo is not None and c_f != 0.0 else None
         return shots[a]
 
-    track = setup.track
-    if track is not None and track[0] * c_f > 0.0 and c_pow >= 0.0:
-        scale = c_f / track[0]
-        e0 = track[1] * scale
-    elif c_f == 0.0:
-        track, e0 = None, 0.0
-    else:
-        track, e0 = None, endpoint(0.0)
-        if e0 == 0.0:
-            return shots[0.0]
-    a_lo = _floor(setup, p, c_pow, c_f, e0)
+    a_lo = _floor(setup, p, c_pow, c_f)
     if a_lo is None:
-        prev_a, prev_val, a = 0.0, e0, LADDER_BOTTOM
+        prev_a, prev_val, a = 0.0, 0.0, LADDER_BOTTOM
+        if c_f != 0.0:
+            prev_val = endpoint(0.0)
+            if prev_val == 0.0:
+                return shots[0.0]
     else:
         prev_a, prev_val = a_lo, endpoint(a_lo)
         if c_f == 0.0 and prev_val < 0.0:
@@ -336,10 +341,11 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
         below = 1.0 if c_f == 0.0 else -1.0  # the sign of E below a_lo
         if prev_val * below <= 0.0 and math.isfinite(prev_val):
             return root(a_lo)
-        if track is None:
-            a = 2.0 * a_lo
+        track = setup.track
+        if track is not None and track[0] * c_f > 0.0:
+            a = track[1] * (c_f / track[0]) * (1.0 + TRACK_MARGIN)
         else:
-            a = track[2] * scale * (1.0 + TRACK_MARGIN)
+            a = 2.0 * a_lo
     while a <= LADDER_TOP:
         val = endpoint(a)
         if not math.isfinite(val):
@@ -427,9 +433,11 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     and uses nothing but the first inner solve.  It falls back to the
     damped step t + F(t)/2 when a secant step is not finite or would make
     t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning the
-    profile shot at that t.  Inner solves after the first start from the
-    last one's floor and root (see ``_center_value``).  ``MAX_OUTER``
-    caps the number of inner solves.
+    profile shot at that t.  Every inner solve starts its ladder from the
+    floor -c_f L, L = -w(center) from one linear shot per call, whenever
+    the witness w of f is positive at the center, sign-changing f
+    included; after the first it brackets next to the last root (see
+    ``_center_value``).  ``MAX_OUTER`` caps the number of inner solves.
     """
     if params.lam > 0.0 and f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")

@@ -408,6 +408,29 @@ def test_kirchhoff_shooting_mountain_pass_shot_budget(ball, shots):
     assert 0 < len(shots) <= 9
 
 
+@pytest.mark.parametrize("p, lam, budget, center", [
+    (2.0, 1.0, 48, 0.47355337475780046), (4.0, 0.05, 14, 0.049385203292396415)])
+def test_kirchhoff_shooting_signchanging_shot_budget(ball, shots, p, lam,
+                                                     budget, center):
+    # the paper's indefinite data: the quartic forcing changes sign, but its
+    # witness is positive, so every inner solve starts from the floor and
+    # the only a = 0 shot is the one linear shot behind it
+    forcing = make_forcing(ball, "quartic-signchanging")
+    params = ProblemParams(b=1.0, alpha=1.0, p=p, lam=lam, f=forcing.field)
+    oracle = kirchhoff_shooting(ball, params, f_fn=forcing.fn)
+    assert 0 < len(shots) <= budget
+    assert shots.count(0.0) == 1
+    assert oracle.values[0] == pytest.approx(center, rel=1e-9, abs=0.0)
+    if p == 4.0:
+        # the mountain-pass verify config with the paper's data: the oracle
+        # still passes the verify check against the grid solution
+        out = picard_iterate(ball, params, SolverConfig())
+        assert out.converged
+        scale = sup_norm(ball, out.solution)
+        bound = max(0.01 * scale, 10.0 * ball.h**2 * scale)
+        assert sup_norm(ball, out.solution - oracle) <= bound
+
+
 def test_homogeneous_shooting_shot_budget(shots):
     # no a = 0 shot (its endpoint is exactly 0): the ladder starts at the
     # floor (2 dim / R^2)^(1/(p-1)) = 8, then Brent inside [8, 16]
@@ -422,25 +445,30 @@ def test_homogeneous_shooting_shot_budget(shots):
 def test_ladder_floor_skips_only_same_sign_rungs(kind):
     # the comparison bounds behind the floor: everything the ladder skips,
     # from far below up to just below the floor a_lo it starts from, has
-    # the floor's sign; the unforced bound is strict at a_lo itself
+    # the floor's sign; the unforced bound is strict at a_lo itself.  The
+    # forced bound needs only a witness positive at the center, so the
+    # sign-changing quartic forcing has a floor too
     mesh = build_mesh(kind, (1.0,), 129 if kind == "interval" else 65)
-    forced = verify._ShootingSetup(mesh, lambda x: np.ones_like(x))
-    unforced = verify._ShootingSetup(mesh, None)
-    for p in (1.5, 2.0, 4.0, 6.0):
-        for c_pow in (1.0, 1e-3):
-            for setup, c_f in ((forced, 1e-6), (forced, 1e-3), (forced, 10.0),
-                               (unforced, 0.0)):
-                e0 = shot_end(setup, 0.0, p, c_pow, c_f)
-                a_lo = verify._floor(setup, p, c_pow, c_f, e0)
-                assert a_lo is not None and a_lo > 0.0
-                sign = -1.0 if c_f > 0.0 else 1.0
-                skipped = [a_lo * 2.0**-k for k in range(1, 31)]
-                skipped += [a_lo * (1.0 - 2.0**-k) for k in range(1, 21)]
-                if c_f == 0.0:
-                    skipped.append(a_lo)
-                for a in skipped:
-                    assert np.sign(shot_end(setup, a, p, c_pow, c_f)) == sign, (
-                        p, c_pow, c_f, a / a_lo)
+    forced = [(verify._ShootingSetup(mesh, make_forcing(mesh, name).fn), c_f)
+              for name in ("constant 1", "eigenmode", "quartic-signchanging")
+              for c_f in (1e-6, 1e-3, 10.0)]
+    unforced = [(verify._ShootingSetup(mesh, None), 0.0)]
+    # the c_pow = 0 shot does not depend on p, and unforced it has no floor
+    assert verify._floor(unforced[0][0], 2.0, 0.0, 0.0) is None
+    cases = [(p, c_pow, forced + unforced) for p in (1.5, 2.0, 4.0, 6.0)
+             for c_pow in (1.0, 1e-3)]
+    for p, c_pow, setups in cases + [(2.0, 0.0, forced)]:
+        for setup, c_f in setups:
+            a_lo = verify._floor(setup, p, c_pow, c_f)
+            assert a_lo is not None and a_lo > 0.0
+            sign = -1.0 if c_f > 0.0 else 1.0
+            skipped = [a_lo * 2.0**-k for k in range(1, 31)]
+            skipped += [a_lo * (1.0 - 2.0**-k) for k in range(1, 21)]
+            if c_f == 0.0:
+                skipped.append(a_lo)
+            for a in skipped:
+                assert np.sign(shot_end(setup, a, p, c_pow, c_f)) == sign, (
+                    p, c_pow, c_f, a / a_lo)
 
 
 def test_unforced_wrong_sign_at_floor_searches_below(monkeypatch):
@@ -458,30 +486,18 @@ def test_unforced_wrong_sign_at_floor_searches_below(monkeypatch):
         verify._center_value(setup, 2.0, 1.0, 0.0)
 
 
-def test_ladder_without_floor_shoots_zero_in_every_inner_solve(ball, shots,
-                                                                monkeypatch):
-    # a sign-changing forcing proves no floor, and the a = 0 profile can go
-    # positive, so its endpoint is not linear in c_f: every inner solve
-    # shoots a = 0 and climbs the ladder from there.  The oracle still
-    # passes the verify check against the grid solution
-    solves = []
-    center_value = verify._center_value
-
-    def counted(*args):
-        solves.append(args[1:])
-        return center_value(*args)
-
-    monkeypatch.setattr(verify, "_center_value", counted)
-    forcing = make_forcing(ball, "quartic-signchanging")
-    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=forcing.field)
-    oracle = kirchhoff_shooting(ball, params, f_fn=forcing.fn)
-    assert len(solves) >= 2
-    assert shots.count(0.0) == len(solves)
-    out = picard_iterate(ball, params, SolverConfig())
-    assert out.converged
-    scale = sup_norm(ball, out.solution)
-    bound = max(0.01 * scale, 10.0 * ball.h**2 * scale)
-    assert sup_norm(ball, out.solution - oracle) <= bound
+def test_ladder_without_floor_shoots_zero_in_every_inner_solve(shots):
+    # c_f f < 0: the witness of c_f f is negative at the center, so no floor
+    # is proven, and the solve shoots a = 0 and climbs the ladder from there
+    for kind, node, center in (("interval", 64, 11.927879917849193),
+                               ("ball", 0, 19.310886807089968)):
+        mesh = build_mesh(kind, (1.0,), 129 if kind == "interval" else 65)
+        shots.clear()
+        u = shooting_solve(mesh, 2.0, c_pow=1.0, c_f=-1.0,
+                           f_fn=lambda x: np.ones_like(x))
+        assert 0.0 in shots, kind
+        assert np.all(u.values > 0.0), kind
+        assert u.values[node] == pytest.approx(center, rel=1e-12, abs=0.0)
 
 
 # center values of the benchmark's oracle cases, as computed by the oracle
