@@ -12,7 +12,12 @@ tricks built on it: the linear comparison solve, the per-step rescaling
 of the monotone iteration, and the reduction to a semilinear problem.
 For the unforced problem the same reduction gives the consistency
 equation (1 + b t)^beta G = t, solved by ``consistency_root``.
+``_brent`` is the package's one bracketed root finder: it pins that
+root, and the shooting oracle's center value, inside a sign-change
+bracket.
 """
+
+import math
 
 import numpy as np
 
@@ -111,6 +116,50 @@ def picard_rescale(mesh: DomainMesh, params: ProblemParams, w: GridFunction) -> 
     return (1.0 / (1.0 + params.b * y**params.alpha)) * w
 
 
+def _brent(f, a, b, fa, fb, xtol) -> float:
+    """Zero of f in the sign-change bracket [a, b], to a bracket of width xtol.
+
+    Brent's method (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant steps while they stay inside
+    the bracket and shrink it fast enough, bisection otherwise.
+    """
+    tol = 0.5 * xtol
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(120):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    raise ConvergenceError("Brent's method did not settle in 120 steps")
+
+
 def consistency_root(G: float, beta: float, b: float) -> float | None:
     """Smallest positive root of zeta(t) = (1 + b t)^beta G - t, or None.
 
@@ -118,7 +167,8 @@ def consistency_root(G: float, beta: float, b: float) -> float | None:
     to a nonlocal one exactly when t = |grad u|^{2 alpha} solves the
     equation, with beta = 2 alpha / (p - 1).  For beta > 1 zeta is convex
     with its minimum at t*, so a root exists iff zeta'(0) < 1 and
-    zeta(t*) <= 0; otherwise zeta is bracketed by doubling.
+    zeta(t*) <= 0; otherwise zeta is bracketed by doubling.  Brent's
+    method then pins the root inside [0, t*] or the doubled bracket.
 
     The shooting oracle's outer step calls it with beta = -2 alpha < 0,
     the linear-response model t = G (1 + b t)^(-2 alpha): zeta then falls
@@ -134,21 +184,13 @@ def consistency_root(G: float, beta: float, b: float) -> float | None:
         t_star = (slope0 ** (-1.0 / (beta - 1.0)) - 1.0) / b
         if zeta(t_star) > 0.0:
             return None
-        lo, hi = 0.0, t_star
+        hi = t_star
     else:
-        lo, hi = 0.0, max(1.0, G)
+        hi = max(1.0, G)
         for _ in range(200):
             if zeta(hi) < 0.0:
                 break
             hi *= 2.0
         else:
             return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if zeta(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _brent(zeta, 0.0, hi, G, zeta(hi), 1e-15 * max(1.0, hi))

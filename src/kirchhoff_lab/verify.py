@@ -49,7 +49,7 @@ from .mesh import (
     sup_norm,
 )
 from .problem import ProblemParams, regime_letter
-from .scalar_reduction import consistency_root, kirchhoff_linear_solve
+from .scalar_reduction import _brent, consistency_root, kirchhoff_linear_solve
 from .solvers import (SolverConfig, battery, descent_minimize, multi_start,
                       newton_nonlocal)
 
@@ -207,50 +207,6 @@ class _ShootingSetup:
         else:
             integrand = 2.0 * du**2  # both mirror halves
         return _simpson(integrand, self.h_s)
-
-
-def _brent(f, a, b, fa, fb, xtol) -> float:
-    """Zero of f in the sign-change bracket [a, b], to a bracket of width xtol.
-
-    Brent's method (Algorithms for Minimization without Derivatives,
-    1973, ch. 4): inverse quadratic or secant steps while they stay inside
-    the bracket and shrink it fast enough, bisection otherwise.
-    """
-    tol = 0.5 * xtol
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(120):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    raise ConvergenceError("Brent's method did not settle in 120 steps")
 
 
 # the ladder from a = 0, used where no floor is proven: rungs 2^-30 ... 2^61
