@@ -7,8 +7,8 @@ Recognized keys:
     domain       interval L n | rectangle Lx Ly nx ny | ball R n  [centered]
     f            constant [v] | eigenmode [amp] | quartic-signchanging | file P
     b alpha p    problem coefficients
-    lambda       forcing amplitude (scalar)          } mutually
-    lambda-grid  space-separated ascending amplitudes } exclusive
+    lambda       forcing amplitude (scalar)                 } mutually
+    lambda-grid  space-separated ascending amplitudes (sweep) } exclusive
     b-grid       space-separated b values (b0-scan)
     tol max_iter seed                                solver knobs
     out          output directory
@@ -162,6 +162,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key: domain")
     if "lambda" in seen and "lambda-grid" in seen:
         raise ConfigError("give either lambda or lambda-grid, not both")
+    for key, reader in (("lambda-grid", "sweep"), ("b-grid", "b0-scan")):
+        if key in seen and kind != reader:
+            raise ConfigError(f"{key} is read by kind {reader} only, not by kind {kind}")
     if kind in _NEED_EXPONENTS:
         for key in ("p", "alpha"):
             if key not in seen:

@@ -11,10 +11,8 @@ here solve that equation and apply the three exact change-of-variables
 tricks built on it: the linear comparison solve, the per-step rescaling
 of the monotone iteration, and the reduction to a semilinear problem.
 For the unforced problem the same reduction gives the consistency
-equation (1 + b t)^beta G = t, solved by ``consistency_root``.
-``_brent`` is the package's one bracketed root finder: it pins that
-root, and the shooting oracle's center value, inside a sign-change
-bracket.
+equation (1 + b t)^beta G = t, solved by ``consistency_root`` with
+``_brent``, the package's one bracketed root finder.
 """
 
 import math
@@ -167,8 +165,7 @@ def consistency_root(G: float, beta: float, b: float) -> float | None:
     to a nonlocal one exactly when t = |grad u|^{2 alpha} solves the
     equation, with beta = 2 alpha / (p - 1).  For beta > 1 zeta is convex
     with its minimum at t*, so a root exists iff zeta'(0) < 1 and
-    zeta(t*) <= 0; otherwise zeta is bracketed by doubling.  Brent's
-    method then pins the root inside [0, t*] or the doubled bracket.
+    zeta(t*) <= 0; otherwise zeta is bracketed by doubling.
 
     The shooting oracle's outer step calls it with beta = -2 alpha < 0,
     the linear-response model t = G (1 + b t)^(-2 alpha): zeta then falls

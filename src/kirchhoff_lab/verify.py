@@ -11,17 +11,15 @@ Everything here deliberately avoids the solver machinery it certifies:
   sign change, then Brent's method inside it); a discretization fully
   independent of the grid stencils.  The ladder starts at a proven floor
   a_lo below which the endpoint u_a(R) cannot change sign, with rungs
-  a_lo 2^k: forced with c_pow >= 0, u_a(R) <= a + c_f L for the endpoint
-  L = -w(center) of one linear shot, w the Poisson witness, so
-  a_lo = -c_f L wherever that is positive, sign-changing f included;
-  unforced, a_lo = (2 dim / (c_pow R^2))^(1/(p-1))
-  (u_a(R) >= a - c_pow a^p R^2 / (2 dim)).  Without a floor it climbs
-  2^k from a = 0.  ``homogeneous_shooting`` adds the scalar consistency
-  analysis for the unforced problem, ``kirchhoff_shooting`` a secant
-  outer loop on the nonlocal coefficient for the forced one, whose
-  second iterate comes from a linear-response model and whose inner
-  solves after the first bracket the root next to the last one, scaled
-  by c_f.
+  a_lo 2^k: a_lo = -c_f L forced, from the endpoint L = -w(center) of
+  one linear shot, for every f whose Poisson witness w is positive at the
+  center, sign-changing f included, and a_lo = (2 dim / (c_pow R^2))^(1/(p-1))
+  unforced; without a floor it climbs 2^k from a = 0.
+  ``homogeneous_shooting`` adds the scalar consistency analysis for the
+  unforced problem, ``kirchhoff_shooting`` a secant outer loop on the
+  nonlocal coefficient for the forced one, whose second iterate comes
+  from a linear-response model and whose inner solves after the first
+  bracket the root next to the last one, scaled by c_f.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -184,9 +182,7 @@ class _ShootingSetup:
         else:
             self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         self.mesh = mesh
-        # endpoint L of the linear shot (a = 0, c_pow = 0, c_f = 1), shot on
-        # the first forced floor; L = -w(center) for the Poisson witness w
-        self.linear_end = None
+        self.linear_end = None  # L = -w(center), shot by the first forced _floor
         # (c_f, root) of the last forced solve with a floor
         self.track = None
 
@@ -242,10 +238,9 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
     ladder starts at that floor, with rungs a_lo 2^k:
 
     * forced, with c_pow >= 0: g(u) >= c_f f whatever the sign of f, so
-      E(a) <= a + c_f L, where L is the endpoint of the linear shot
-      (a = 0, c_pow = 0, c_f = 1), and a_lo = -c_f L, E < 0 below it.
-      L = -w(center) for the Poisson witness w, so every forcing whose
-      witness is positive at the center has a floor for c_f > 0;
+      E(a) <= a + c_f L and a_lo = -c_f L, E < 0 below it.  L is the
+      endpoint of the linear shot (a = 0, c_pow = 0, c_f = 1), and
+      L = -w(center) for the Poisson witness w of f;
     * unforced, with c_f = 0, c_pow > 0 and p > 1: u decreases from a, so
       E(a) >= a - c_pow a^p R^2 / (2 dim) and
       a_lo = (2 dim / (c_pow R^2))^(1/(p-1)), E > 0 below it.
@@ -256,16 +251,14 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
     E(a_lo) < 0 can only be RK4 error: Brent then searches [a_lo/2, a_lo],
     and E(a_lo/2) <= 0 raises ``ConvergenceError``.  Without a floor
     (c_pow < 0, c_f L >= 0, or unforced with c_pow <= 0 or p <= 1) the
-    ladder climbs the rungs 2^k from a = 0, shooting a = 0 when forced;
-    the unforced a = 0 profile is 0 and is not shot.
+    ladder climbs the rungs 2^k from a = 0, which it shoots when forced.
 
-    The setup keeps L, shot once on its first forced floor, and the root
-    of the last solve with a floor.  A later solve with c_f of the same
-    sign shoots a_lo, then a point just above the last root scaled by
-    c_f, and climbs rungs from there; in the usual case those two shots
-    are the bracket Brent starts from.  The profiles kept are those of
-    the last two rungs and of Brent's shots, the only points that can be
-    returned.
+    The setup keeps L and the root of the last solve with a floor.  A
+    later solve with c_f of the same sign shoots a_lo, then a point just
+    above the last root scaled by c_f, and climbs rungs from there; in
+    the usual case those two shots are the bracket Brent starts from.
+    The profiles kept are those of the last two rungs and of Brent's
+    shots, the only points that can be returned.
     """
     shots = {}
 
@@ -389,11 +382,11 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     and uses nothing but the first inner solve.  It falls back to the
     damped step t + F(t)/2 when a secant step is not finite or would make
     t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning the
-    profile shot at that t.  Every inner solve starts its ladder from the
-    floor -c_f L, L = -w(center) from one linear shot per call, whenever
-    the witness w of f is positive at the center, sign-changing f
-    included; after the first it brackets next to the last root (see
-    ``_center_value``).  ``MAX_OUTER`` caps the number of inner solves.
+    profile shot at that t.  Where the witness w of f is positive at the
+    center, sign-changing f included, every inner solve starts from the
+    floor -c_f L, L = -w(center) from one linear shot per call, and after
+    the first brackets next to the last root (see ``_center_value``).
+    ``MAX_OUTER`` caps the number of inner solves.
     """
     if params.lam > 0.0 and f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")

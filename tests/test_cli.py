@@ -75,6 +75,20 @@ def test_parse_lambda_conflict():
         parse_config(SOLVE_A + "lambda-grid = 0.1 0.2\n")
 
 
+def test_parse_lambda_grid_outside_sweep():
+    # solve never reads the grid: it would run at lambda = 0
+    text = SOLVE_A.replace("lambda = 0.5\n", "lambda-grid = 0.5 1\n")
+    with pytest.raises(ConfigError, match="lambda-grid .* not by kind solve"):
+        parse_config(text)
+
+
+def test_parse_b_grid_outside_b0_scan():
+    # verify never reads the grid: it would run at the scalar b alone
+    text = SOLVE_A.replace("kind = solve", "kind = verify") + "b-grid = 1 2\n"
+    with pytest.raises(ConfigError, match="b-grid .* not by kind verify"):
+        parse_config(text)
+
+
 def test_parse_missing_line_shape():
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config("kind solve\n")
