@@ -28,7 +28,10 @@ def tridiag_apply(sub, diag, sup, u, out):
 def thomas_solve(sub, diag, sup, rhs, x):
     # Forward elimination / back substitution without pivoting.  Valid for
     # the diagonally dominant operators built in mesh.py, which never
-    # produce a zero pivot; one would raise ZeroDivisionError.  The loop
+    # produce a zero pivot; one would raise ZeroDivisionError.  The Newton
+    # polish of constants.sobolev_minimizer also calls it on an indefinite
+    # Jacobian, where it treats that ZeroDivisionError as a failed polish
+    # and an inaccurate solve as a step its acceptance tests reject.  The loop
     # runs on Python floats, 3-4x cheaper than numpy scalars; the doubles
     # and the expression order are the same, so the result is bit-identical.
     a, b, c, d = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()

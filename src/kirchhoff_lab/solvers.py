@@ -252,8 +252,10 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     perturbation of coeff*(-lap), so a handful of iterations reach
     round-off, and nothing is assembled or factored.  Interval and ball
     meshes keep the dense matvec and a dense LU of the local part for
-    (-F, -lap u), combined by Sherman-Morrison: the tridiagonal kernels
-    would change the round-off, and the energies of duplicate solutions in
+    (-F, -lap u), combined by Sherman-Morrison.  Each step writes the
+    entries of coeff*A - diag(pot) into the three diagonals of one zeroed
+    buffer per solve, in O(n).  The tridiagonal kernels would change the
+    round-off, and the energies of duplicate solutions in
     ``distinct_positive`` tie to every printed digit, so which duplicate
     is kept would change with it.
 
@@ -279,6 +281,10 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     lam_f = forcing_values(mesh, params).ravel()
     u = _values(mesh, initial).ravel().copy()
     scale = 1.0 + float(np.max(np.abs(lam_f)))
+    if mesh.kind != "rectangle":
+        sub, diag, sup = mesh.stencil
+        n = diag.size
+        J = np.zeros((n, n))
     history = []
     for it in range(config.max_iter):
         A, w, Lu, K, coeff, up, F = _newton_pieces(mesh, params, lam_f, u)
@@ -297,7 +303,10 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
                     -F.reshape(mesh.shape), pot.reshape(mesh.shape), coeff, hx, hy,
                     Lu.reshape(mesh.shape), kappa * hx * hy)
             else:
-                X = np.linalg.solve(coeff * A - np.diag(pot), np.column_stack((-F, Lu)))
+                J.flat[::n + 1] = coeff * diag - pot
+                J.flat[n::n + 1] = coeff * sub[1:]
+                J.flat[1::n + 1] = coeff * sup[:-1]
+                X = np.linalg.solve(J, np.column_stack((-F, Lu)))
         except np.linalg.LinAlgError:
             X = None
         if X is None or not np.all(np.isfinite(X)):

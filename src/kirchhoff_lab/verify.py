@@ -17,9 +17,11 @@ Everything here deliberately avoids the solver machinery it certifies:
   unforced; without a floor it climbs 2^k from a = 0.
   ``homogeneous_shooting`` adds the scalar consistency analysis for the
   unforced problem, ``kirchhoff_shooting`` a secant outer loop on the
-  nonlocal coefficient for the forced one, whose second iterate comes
-  from a linear-response model and whose inner solves after the first
-  bracket the root next to the last one, scaled by c_f.
+  nonlocal coefficient for the forced one.  That loop starts from the
+  linear shot: T(0) of the linear profile and the root of a
+  linear-response model, so it never solves the semilinear problem at
+  t = 0; its inner solves after the first bracket the root next to the
+  last one, scaled by c_f.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -153,7 +155,9 @@ TRACK_MARGIN = 1e-9  # relative step above the scaled last root
 
 
 class _ShootingSetup:
-    """Geometry bookkeeping shared by the oracle entry points."""
+    """Geometry bookkeeping shared by the oracle entry points, plus the
+    profile of the one linear shot, which gives the forced floor and
+    ``kirchhoff_shooting``'s first outer iterate."""
 
     def __init__(self, mesh: DomainMesh, f_fn):
         if mesh.kind == "ball":
@@ -182,7 +186,7 @@ class _ShootingSetup:
         else:
             self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         self.mesh = mesh
-        self.linear_end = None  # L = -w(center), shot by the first forced _floor
+        self._linear = None  # the linear shot's profile, see ``linear``
         # (c_f, root) of the last forced solve with a floor
         self.track = None
 
@@ -192,6 +196,14 @@ class _ShootingSetup:
         rk4_radial(float(a), self.h_s, self.nsteps, self.dim, float(p),
                    float(c_pow), float(c_f), self.f_half, u, du)
         return u, du
+
+    def linear(self):
+        """Profile ``(u, du)`` of the linear shot (a = 0, c_pow = 0,
+        c_f = 1), shot once per setup: u = w - w(center) for the Poisson
+        witness w of f, so du = dw and the endpoint is L = -w(center)."""
+        if self._linear is None:
+            self._linear = self.shoot(0.0, 1.0, 0.0, 1.0)
+        return self._linear
 
     def to_grid(self, prof: np.ndarray) -> GridFunction:
         return GridFunction(self.mesh, prof[self.node_index])
@@ -221,9 +233,7 @@ def _floor(setup: _ShootingSetup, p, c_pow, c_f) -> float | None:
         return None
     if c_pow < 0.0:
         return None
-    if setup.linear_end is None:
-        setup.linear_end = float(setup.shoot(0.0, p, 0.0, 1.0)[0][-1])
-    a_lo = -c_f * setup.linear_end
+    a_lo = -c_f * float(setup.linear()[0][-1])
     return a_lo if a_lo > 0.0 else None
 
 
@@ -253,10 +263,11 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
     (c_pow < 0, c_f L >= 0, or unforced with c_pow <= 0 or p <= 1) the
     ladder climbs the rungs 2^k from a = 0, which it shoots when forced.
 
-    The setup keeps L and the root of the last solve with a floor.  A
-    later solve with c_f of the same sign shoots a_lo, then a point just
-    above the last root scaled by c_f, and climbs rungs from there; in
-    the usual case those two shots are the bracket Brent starts from.
+    The setup keeps the linear shot and the root of the last solve with a
+    floor.  A later solve with c_f of the same sign shoots a_lo, then a
+    point just above the last root scaled by c_f, and climbs rungs from
+    there; in the usual case those two shots are the bracket Brent starts
+    from.
     The profiles kept are those of the last two rungs and of Brent's
     shots, the only points that can be returned.
     """
@@ -376,15 +387,22 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     Inner loop: semilinear shooting with the coefficient frozen at
     (1+b t).  Outer loop: secant iteration on F(t) = T(t) - t, where
     T(t) = |grad u|^{2 alpha} of the inner profile, taken from the fine
-    profile by Simpson quadrature.  It starts from t = 0 and the root t1
-    of the linear-response model t = T(0) (1 + b t)^(-2 alpha), which
-    holds exactly when the inner profile is linear in c_f = lambda/(1+bt)
-    and uses nothing but the first inner solve.  It falls back to the
-    damped step t + F(t)/2 when a secant step is not finite or would make
-    t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning the
-    profile shot at that t.  Where the witness w of f is positive at the
-    center, sign-changing f included, every inner solve starts from the
-    floor -c_f L, L = -w(center) from one linear shot per call, and after
+    profile by Simpson quadrature.  For lambda > 0 no inner solve runs at
+    t = 0: the linear shot (``_ShootingSetup.linear``) gives
+    T_lin(0) = (lambda^2 |grad w|^2)^alpha for the Poisson witness w of
+    f, which is T(0) exactly when the inner profile is linear in
+    c_f = lambda/(1+bt).  The first inner solve is at the root t1 of the
+    linear-response model t = T_lin(0) (1 + b t)^(-2 alpha), and the
+    secant runs from (0, T_lin(0)) and (t1, F(t1)).  Past the semilinear
+    fold the problem at t = 0 has no positive solution, so this start
+    also reaches solutions that a solve at t = 0 cannot.  For lambda = 0
+    the loop starts at t = 0, and its second iterate is the root of the
+    same model with T(0) from that first inner solve.  It falls back to
+    the damped step t + F(t)/2 when a secant step is not finite or would
+    make t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning
+    the profile shot at that t.  Where the witness w of f is positive at
+    the center, sign-changing f included, every inner solve starts from
+    the floor -c_f L, L = -w(center) from the same linear shot, and after
     the first brackets next to the last root (see ``_center_value``).
     ``MAX_OUTER`` caps the number of inner solves.
     """
@@ -393,6 +411,12 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     setup = _ShootingSetup(mesh, f_fn)
     t = 0.0
     t_prev = F_prev = None
+    if params.lam > 0.0:
+        # T(0) of the linear profile lam w, then the root t1 of the
+        # linear-response model t = T(0) (1 + b t)^(-2 alpha)
+        T0 = (params.lam**2 * setup.gradient_sq(setup.linear()[1])) ** params.alpha
+        t_prev, F_prev = 0.0, T0
+        t = consistency_root(T0, -2.0 * params.alpha, params.b)
     for _ in range(MAX_OUTER):
         coeff = 1.0 + params.b * t
         c_pow, c_f = 1.0 / coeff, params.lam / coeff

@@ -511,6 +511,50 @@ def test_sobolev_constant_blowup_raises_convergence_error():
             sobolev_minimizer(mesh, 4.0)
 
 
+@pytest.fixture
+def poisson_solves(monkeypatch):
+    """Poisson solves of the embedding minimizer, counted."""
+    calls = []
+    solve = constants.poisson_solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(constants, "poisson_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, p, budget, S_sweeps", [
+    (65, 4.0, 10, 8.195036968828775), (129, 4.5, 20, 7.031804192519161)])
+def test_sobolev_newton_polish_known_answer(poisson_solves, n, p, budget, S_sweeps):
+    # the sweeps alone took 87 (ball 65) and 184 (ball 129) Poisson solves
+    # to reach the same quotient; the polish reaches it in a few
+    # tridiagonal solves and returns a strictly positive minimizer
+    mesh = build_mesh("ball", 1.0, n)
+    constants.eigenpair(mesh)
+    S, u = sobolev_minimizer(mesh, p)
+    assert len(poisson_solves) <= budget
+    assert S == pytest.approx(S_sweeps, rel=1e-12, abs=0.0)
+    assert np.min(u.values) > 0.0
+    assert lp_norm(mesh, u, p + 1.0) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_sobolev_failed_polish_falls_back_to_sweeps(poisson_solves, monkeypatch):
+    # a zero pivot in the polish leaves the sweeps to finish from their own
+    # iterate, exactly as without a polish: 87 sweeps to the sweeps' S
+    def zero_pivot(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(constants, "thomas_solve", zero_pivot)
+    mesh = build_mesh("ball", 1.0, 65)
+    constants.eigenpair(mesh)
+    S, u = sobolev_minimizer(mesh, 4.0)
+    assert len(poisson_solves) == 87
+    assert S == pytest.approx(8.195036968828775, rel=1e-15, abs=0.0)
+    assert np.min(u.values) > 0.0
+
+
 def test_lp_norm_rejects_bad_exponent():
     mesh = build_mesh("interval", 1.0, 9)
     with pytest.raises(ValueError):

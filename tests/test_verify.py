@@ -31,6 +31,7 @@ from kirchhoff_lab.problem import ProblemParams, compute_b0
 from kirchhoff_lab.scalar_reduction import rescale_to_semilinear
 from kirchhoff_lab.solvers import (
     SolverConfig,
+    descent_minimize,
     mountain_pass_search,
     newton_nonlocal,
     picard_iterate,
@@ -391,25 +392,27 @@ def shots(monkeypatch):
 
 
 def test_kirchhoff_shooting_shot_budget(ball, shots):
-    # two inner solves: a = 0, the floor, twice the floor and Brent; then
-    # the floor, a point above the last root scaled by c_f and Brent.  The
-    # root's profile is kept, not shot again
+    # the linear shot gives T(0) and the floor; the first outer iterate,
+    # the root of the linear-response model, is within the outer tolerance,
+    # so one inner solve suffices: the floor, twice the floor and Brent.
+    # The root's profile is kept, not shot again
     params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
     oracle = kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
-    assert 0 < len(shots) <= 8
+    assert 0 < len(shots) <= 4
     assert sup_norm(ball, oracle) > 0.0
 
 
 def test_kirchhoff_shooting_mountain_pass_shot_budget(ball, shots):
-    # the mountain-pass verify config: the linear-response outer step
-    # lands within the outer tolerance, so two inner solves suffice
+    # the mountain-pass verify config: the outer loop starts at the root
+    # of the linear-response model, which lands within the outer
+    # tolerance, so the linear shot and one inner solve suffice
     params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=const_one(ball))
     kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
-    assert 0 < len(shots) <= 9
+    assert 0 < len(shots) <= 5
 
 
 @pytest.mark.parametrize("p, lam, budget, center", [
-    (2.0, 1.0, 48, 0.47355337475780046), (4.0, 0.05, 14, 0.049385203292396415)])
+    (2.0, 1.0, 29, 0.47355337475780046), (4.0, 0.05, 10, 0.049385203292396415)])
 def test_kirchhoff_shooting_signchanging_shot_budget(ball, shots, p, lam,
                                                      budget, center):
     # the paper's indefinite data: the quartic forcing changes sign, but its
@@ -429,6 +432,24 @@ def test_kirchhoff_shooting_signchanging_shot_budget(ball, shots, p, lam,
         scale = sup_norm(ball, out.solution)
         bound = max(0.01 * scale, 10.0 * ball.h**2 * scale)
         assert sup_norm(ball, out.solution - oracle) <= bound
+
+
+@pytest.mark.parametrize("f, lam, p", [("constant 1.0", 20.0, 4.0),
+                                       ("quartic-signchanging", 2.0, 4.0),
+                                       ("quartic-signchanging", 5.0, 2.0)])
+def test_kirchhoff_shooting_past_the_semilinear_fold(ball, f, lam, p):
+    # at these lambda the semilinear problem at mu = lambda (t = 0) has no
+    # positive solution, so an outer loop that solved at t = 0 raised "no
+    # sign change"; started at the linear-response root, the oracle agrees
+    # with the grid solution within a tenth of the verify check's bound
+    forcing = make_forcing(ball, f)
+    params = ProblemParams(b=1.0, alpha=1.0, p=p, lam=lam, f=forcing.field)
+    out = descent_minimize(ball, params, SolverConfig())
+    assert out.converged
+    oracle = kirchhoff_shooting(ball, params, f_fn=forcing.fn)
+    scale = sup_norm(ball, out.solution)
+    bound = max(0.01 * scale, 10.0 * ball.h**2 * scale)
+    assert sup_norm(ball, out.solution - oracle) <= 0.1 * bound
 
 
 def test_homogeneous_shooting_shot_budget(shots):
@@ -612,7 +633,9 @@ def test_rk4_matches_reference_bit_for_bit(kind, p, a, c_pow, c_f):
 
 
 def test_kirchhoff_shooting_outer_cap(ball, monkeypatch):
-    params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
+    # at lambda = 1 the outer loop needs three inner solves; at lambda =
+    # 0.01 its first iterate already settles, so no cap could be hit
+    params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=1.0, f=const_one(ball))
     monkeypatch.setattr(verify, "MAX_OUTER", 1)
     with pytest.raises(ConvergenceError):
         kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
