@@ -26,9 +26,11 @@ GATES = {
     "newton-1d.solvers.descent.calls": 47,
     "newton-1d.energy.eval.calls": 2000,
     # Newton steps and residual evaluations: a step that no fraction down
-    # to the damping floor 1/8 improves ends its solve after 4 trials
-    "newton-1d.solvers.newton.steps": 1224,
-    "newton-1d.solvers.newton.residual_evals": 2750,
+    # to the damping floor 1/8 improves ends its solve after 4 trials, and
+    # each multi-start begins at the energy's critical point on its ray
+    "newton-1d.solvers.newton.steps": 440,
+    "newton-1d.solvers.newton.residual_evals": 1218,
+    "radial-oracle.solvers.newton.steps": 21,
     # Poisson solves: descent's start takes one membership witness, not
     # two, and the embedding minimizer starts from the cached eigenpair
     # and finishes with Newton's tridiagonal solves
@@ -37,10 +39,11 @@ GATES = {
     # the saddle search is one Newton solve
     "mountain-pass.energy.eval.calls": 3,
     # rectangle Poisson solves by sine transform, Newton steps, and the
-    # stencil applications of Newton and its MINRES solves
+    # stencil applications of Newton and its MINRES solves; the uniqueness
+    # probe reuses the verify run's descent
     "newton-2d.mesh.poisson_solve.self_s": 0.03,
-    "newton-2d.solvers.newton.steps": 42,
-    "newton-2d.kernels.lap2d.calls": 300,
+    "newton-2d.solvers.newton.steps": 36,
+    "newton-2d.kernels.lap2d.calls": 240,
 }
 
 

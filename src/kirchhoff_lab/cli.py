@@ -285,7 +285,7 @@ def _verify_checks(lines, mesh, params, config, regime, forcing, outs):
         except KirchhoffLabError as exc:
             _check(lines, "shooting-agreement", False, str(exc))
     if regime == "A" and params.lam > 0.0:
-        rec = uniqueness_probe(mesh, params, config)
+        rec = uniqueness_probe(mesh, params, config, descent=outs[0])
         _check(lines, "solutions-found", rec.count >= 1,
                f"count: {rec.count}, contraction: {rec.contraction:.4f}")
     cert = residual_certificate(mesh, params, u)

@@ -31,8 +31,9 @@ Four procedures, matched to the exponent regimes:
   with the reason.
 
 ``battery`` runs Picard and descent; ``multi_start`` drives Newton from
-the fields its caller passes plus seeded random positive fields and
-deduplicates, which is how uniqueness and nonexistence get probed.
+the fields its caller passes plus seeded positive rays, each scaled to
+the energy's first critical point along it, and deduplicates, which is
+how uniqueness and nonexistence get probed.
 """
 
 from dataclasses import dataclass, replace
@@ -59,10 +60,12 @@ from .problem import (
     forcing_values,
     regime_letter,
 )
-from .scalar_reduction import consistency_root, kirchhoff_linear_solve, picard_rescale
+from .scalar_reduction import (_brent, consistency_root, kirchhoff_linear_solve,
+                               picard_rescale)
 
 DAMPING_FLOOR = 2.0**-3  # smallest Newton step fraction tried (4 trials)
 MULTI_STARTS = 8  # seeded random Newton starts per multi_start call
+RAY_SCAN = 64  # doublings or halvings of a start's length before the fallback
 
 
 @dataclass(frozen=True)
@@ -578,12 +581,17 @@ def distinct_positive(outcomes, tol: float) -> list[SolveOutcome]:
     return kept
 
 
-def battery(mesh: DomainMesh, params: ProblemParams,
-            config: SolverConfig) -> list[SolveOutcome]:
+def battery(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
+            descent: SolveOutcome | None = None) -> list[SolveOutcome]:
     """Outcomes of ``picard_iterate`` and ``descent_minimize``, in that
-    order; a solver that raises ``KirchhoffLabError`` is skipped."""
+    order; a solver that raises ``KirchhoffLabError`` is skipped.  A
+    ``descent`` outcome the caller already has from the same arguments
+    takes the place of the second run."""
     outcomes = []
     for solver_fn in (picard_iterate, descent_minimize):
+        if solver_fn is descent_minimize and descent is not None:
+            outcomes.append(descent)
+            continue
         try:
             outcomes.append(solver_fn(mesh, params, config))
         except KirchhoffLabError:
@@ -591,26 +599,71 @@ def battery(mesh: DomainMesh, params: ProblemParams,
     return outcomes
 
 
+def _ray_scale(params: ProblemParams, K: float, P: float, F: float) -> float:
+    """Length t* of the start t* v on the ray of v > 0.
+
+    Along the ray the energy has the derivative
+
+        g(t) = dI(t v)/dt = K t + b K^{alpha+1} t^{2 alpha+1} - P t^p - F,
+
+    K = |grad v|^2, P = |v|_{p+1}^{p+1}, F = lambda <f, v>, and t* is its
+    first sign change as t grows from 0 (the fibering method of Drabek &
+    Pohozaev, *Proc. Roy. Soc. Edinburgh* 127A, 1997).  The scan starts at
+    t = 1, halves t while g has left its sign just above 0 (that of -F, or
+    + when F = 0) and doubles it otherwise; ``_brent`` settles the first
+    bracket.  Without a sign change in RAY_SCAN steps, or before g
+    overflows, the scanned t of smallest |g| is returned.
+    """
+    a, p = params.alpha, params.p
+    B = params.b * K ** (a + 1.0)
+
+    def g(t):
+        return K * t + B * t ** (2.0 * a + 1.0) - P * t**p - F
+
+    def crossed(gt):
+        return (gt < 0.0) != (F > 0.0)
+
+    t, gt = 1.0, g(1.0)
+    down = crossed(gt)
+    best_g, best_t = abs(gt), t
+    for _ in range(RAY_SCAN):
+        s = 0.5 * t if down else 2.0 * t
+        try:
+            gs = g(s)
+        except OverflowError:
+            break
+        if crossed(gs) != down:
+            lo, hi, glo, ghi = (s, t, gs, gt) if down else (t, s, gt, gs)
+            return _brent(g, lo, hi, glo, ghi, 1e-15 * hi)
+        if abs(gs) < best_g:
+            best_g, best_t = abs(gs), s
+        t, gt = s, gs
+    return best_t
+
+
 def multi_start(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
                 priors) -> list[SolveOutcome]:
     """Distinct converged positive solutions from seeded Newton starts.
 
     Newton starts from each field in ``priors``, in order, then from
-    ``MULTI_STARTS`` fields c1*phi1 + c2*torsion with both coefficients
-    drawn from (0, 2 sup psi0] (barrier scale when available, torsion
-    scale grown with lambda otherwise).  Deduplication is by sup distance
-    at 10*tol, keeping the lower-energy representative; the result is
-    sorted by energy.
+    ``MULTI_STARTS`` seeded rays v = c1*phi1 + c2*torsion, with c1, c2
+    drawn uniformly from (0, 1) by ``config.seed``: the seed picks the
+    direction of each start, ``_ray_scale`` its length, so each start is
+    the energy's critical point t* v on its ray and not an arbitrarily
+    large field that Newton's first steps only shrink.  Nothing caps the
+    amplitude.  Deduplication is by sup distance at 10*tol, keeping the
+    lower-energy representative; the result is sorted by energy.
     """
     rng = np.random.default_rng(config.seed)
     _, phi1 = constants.eigenpair(mesh)
-    psi = constants.torsion(mesh)
-    try:
-        cap = 2.0 * sup_norm(mesh, build_barrier(mesh, params).psi0)
-    except BarrierError:
-        cap = 2.0 * sup_norm(mesh, psi) * (1.0 + params.lam)
-    coeffs = rng.uniform(0.0, cap, size=(MULTI_STARTS, 2))
-    initials = list(priors) + [
-        GridFunction(mesh, c1 * phi1.values + c2 * psi.values) for c1, c2 in coeffs]
+    psi = constants.torsion(mesh).values
+    lam_f = forcing_values(mesh, params)
+    initials = list(priors)
+    for c1, c2 in rng.uniform(size=(MULTI_STARTS, 2)):
+        v = c1 * phi1.values + c2 * psi
+        K = h1_seminorm(mesh, v) ** 2
+        P = float(np.sum(mesh.weights * v ** (params.p + 1.0)))
+        F = float(np.sum(mesh.weights * lam_f * v))
+        initials.append(GridFunction(mesh, _ray_scale(params, K, P, F) * v))
     outcomes = [newton_nonlocal(mesh, params, config, init) for init in initials]
     return distinct_positive(outcomes, config.tol)

@@ -50,8 +50,8 @@ from .mesh import (
 )
 from .problem import ProblemParams, regime_letter
 from .scalar_reduction import _brent, consistency_root, kirchhoff_linear_solve
-from .solvers import (SolverConfig, battery, descent_minimize, multi_start,
-                      newton_nonlocal)
+from .solvers import (SolverConfig, SolveOutcome, battery, descent_minimize,
+                      multi_start, newton_nonlocal)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +450,12 @@ class UniquenessRecord:
 
 
 def uniqueness_probe(mesh: DomainMesh, params: ProblemParams,
-                     config: SolverConfig) -> UniquenessRecord:
+                     config: SolverConfig, descent: SolveOutcome) -> UniquenessRecord:
     """Distinct-solution count at params.lam plus the contraction quantity.
 
-    Counts come from ``multi_start`` seeded with the ``battery`` outputs.
+    Counts come from ``multi_start`` seeded with the ``battery`` outputs;
+    ``descent`` is the caller's ``descent_minimize`` outcome for the same
+    arguments, so the battery runs only Picard.
     The quantity C2 + |grad v| C1 with C1 = 2 alpha b (2|grad v|)^{2a-1},
     C2 = (p/lambda_1)(2 sup v)^{p-1} bounds the energy-difference of two
     hypothetical solutions; below 1 it certifies at-most-one.  The count is
@@ -463,7 +465,7 @@ def uniqueness_probe(mesh: DomainMesh, params: ProblemParams,
         raise RegimeError("the uniqueness probe runs in regime A only")
     lam1, _ = constants.eigenpair(mesh)
     sols = multi_start(mesh, params, config,
-                       [o.solution for o in battery(mesh, params, config)])
+                       [o.solution for o in battery(mesh, params, config, descent)])
     if sols:
         u = sols[0]
         sem = u.seminorm

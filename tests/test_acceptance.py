@@ -117,7 +117,8 @@ def test_uniqueness_window():
     t0 = time.perf_counter()
     mesh = _fine_interval()
     params = _coercive(mesh, 2.0 * _b0_of(mesh), 1e-3)
-    rec = uniqueness_probe(mesh, params, SolverConfig(tol=1e-8))
+    cfg = SolverConfig(tol=1e-8)
+    rec = uniqueness_probe(mesh, params, cfg, descent_minimize(mesh, params, cfg))
     elapsed = time.perf_counter() - t0
     ok = (rec.count == 1 and rec.contraction < 1.0 and rec.certified
           and elapsed < 60.0)

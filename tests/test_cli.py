@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from kirchhoff_lab import cli, constants
+from kirchhoff_lab import cli, constants, solvers
 from kirchhoff_lab.cli import main, parse_config, run_experiment
 from kirchhoff_lab.continuation import ThresholdEstimate
 from kirchhoff_lab.exceptions import ConfigError
@@ -268,6 +268,34 @@ def test_verify_subcommand_overrides_kind(tmp_path):
     code, out = run_cfg(tmp_path, SOLVE_A, command="verify")
     assert code == 0
     assert "CHECK certificate: PASS" in (out / "report.txt").read_text()
+
+
+def test_regime_a_verify_runs_descent_once(tmp_path, monkeypatch):
+    # the uniqueness probe reuses the primary descent outcome, and its
+    # report is the one the probe's own descent run gives
+    calls = []
+    descent = solvers.descent_minimize
+
+    def counted(*args):
+        calls.append(args)
+        return descent(*args)
+
+    monkeypatch.setattr(cli, "descent_minimize", counted)
+    monkeypatch.setattr(solvers, "descent_minimize", counted)
+    code, out = run_cfg(tmp_path, SOLVE_A, name="reuse.cfg", command="verify")
+    assert code == 0
+    assert len(calls) == 1
+    report = (out / "report.txt").read_text()
+    assert "CHECK solutions-found: PASS" in report
+
+    probe = cli.uniqueness_probe
+    monkeypatch.setattr(cli, "uniqueness_probe",
+                        lambda mesh, params, config, descent: probe(
+                            mesh, params, config, counted(mesh, params, config)))
+    code, out = run_cfg(tmp_path, SOLVE_A, name="rerun.cfg", command="verify")
+    assert code == 0
+    assert len(calls) == 3
+    assert (out / "report.txt").read_text() == report
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from kirchhoff_lab.mesh import (
     lp_norm,
     sup_norm,
 )
-from kirchhoff_lab.problem import ProblemParams, compute_b0
+from kirchhoff_lab.problem import ProblemParams, compute_b0, forcing_values
 from kirchhoff_lab.scalar_reduction import kirchhoff_linear_solve
 from kirchhoff_lab.solvers import (
     SolverConfig,
@@ -706,6 +707,139 @@ def test_multi_start_list_contract(interval):
     for i, a in enumerate(sols):
         for b in sols[i + 1:]:
             assert sup_norm(interval, a.solution - b.solution) > 10.0 * cfg.tol
+
+
+def _ray(mesh, params, c1=0.3, c2=0.7):
+    """A seeded direction v = c1*phi1 + c2*torsion and its K, P and F."""
+    _, phi1 = constants.eigenpair(mesh)
+    v = c1 * phi1.values + c2 * constants.torsion(mesh).values
+    K = h1_seminorm(mesh, v) ** 2
+    P = float(np.sum(mesh.weights * v ** (params.p + 1.0)))
+    F = float(np.sum(mesh.weights * forcing_values(mesh, params) * v))
+    return v, K, P, F
+
+
+def _ray_slope(params, K, P, F, t):
+    """g(t) = dI(t v)/dt and the sum of its terms' magnitudes."""
+    a = params.alpha
+    terms = (K * t, params.b * K ** (a + 1.0) * t ** (2.0 * a + 1.0), -P * t**params.p, -F)
+    return sum(terms), sum(abs(x) for x in terms)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("K, P", [(9.87, 0.05), (0.2, 30.0), (1.0, 1.0)])
+def test_ray_scale_unforced_semilinear_known_answer(p, K, P):
+    # at lambda = 0 and b = 0, g(t) = K t - P t^p changes sign only at
+    # t* = (K/P)^{1/(p-1)}, reached by doubling (K > P) or halving (K < P);
+    # b = 0 is no valid problem, but it is a valid ray
+    flat = SimpleNamespace(b=0.0, alpha=1.0, p=p)
+    t = solvers._ray_scale(flat, K, P, 0.0)
+    assert t == pytest.approx((K / P) ** (1.0 / (p - 1.0)), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, p, lam", [
+    ("interval", 2.0, 1e-3),  # regime A, the uniqueness data
+    ("interval", 2.0, 1e3),  # regime A, far from the origin
+    ("ball", 4.0, 0.05),  # regime B: g rises through 0, then falls
+    ("ball", 4.0, 1.342e7),  # regime B above the threshold
+    ("ball", 4.0, 0.0),  # unforced: the Nehari point of the ray
+])
+def test_ray_scale_is_the_first_sign_change(interval, ball, kind, p, lam):
+    mesh = interval if kind == "interval" else ball
+    params = ProblemParams(b=1.0, alpha=1.0, p=p, lam=lam, f=const_one(mesh))
+    _, K, P, F = _ray(mesh, params)
+    t = solvers._ray_scale(params, K, P, F)
+    g, size = _ray_slope(params, K, P, F, t)
+    assert abs(g) <= 1e-13 * size
+    # below t* the slope keeps the sign it has just above t = 0
+    for s in np.geomspace(1e-6 * t, (1.0 - 1e-9) * t, 200):
+        below, _ = _ray_slope(params, K, P, F, s)
+        assert (below < 0.0) == (F > 0.0)
+
+
+@pytest.mark.parametrize("kind, p, lam", [("interval", 2.0, 1e-3),
+                                          ("ball", 4.0, 0.05)])
+@pytest.mark.parametrize("c", [1e-3, 0.37, 3.0, 250.0])
+def test_ray_scale_start_is_invariant_under_scaling(interval, ball, kind, p, lam, c):
+    mesh = interval if kind == "interval" else ball
+    params = ProblemParams(b=1.0, alpha=1.0, p=p, lam=lam, f=const_one(mesh))
+    v, K, P, F = _ray(mesh, params)
+    t = solvers._ray_scale(params, K, P, F)
+    tc = solvers._ray_scale(params, c * c * K, c ** (p + 1.0) * P, c * F)
+    np.testing.assert_allclose(tc * (c * v), t * v, rtol=1e-13)
+
+
+def test_ray_scale_without_root_falls_back_to_smallest_slope():
+    # regime A with a negative forcing term: g(t) = 1e-3 t + t^3 - 10 t^2 + 200
+    # dips near t = 20/3 but stays positive, so the doubling scan from
+    # t = 1 finds no sign change and returns its t of smallest |g|, t = 8
+    params = SimpleNamespace(b=1e6, alpha=1.0, p=2.0)
+    first = solvers._ray_scale(params, 1e-3, 10.0, -200.0)
+    assert first == 8.0
+    assert solvers._ray_scale(params, 1e-3, 10.0, -200.0) == first
+
+
+@pytest.fixture
+def newton_starts(monkeypatch):
+    """(start, outcome) of every Newton solve, in order."""
+    calls = []
+    newton = solvers.newton_nonlocal
+
+    def recorded(mesh, params, config, initial):
+        out = newton(mesh, params, config, initial)
+        calls.append((np.array(initial.values), out))
+        return out
+
+    monkeypatch.setattr(solvers, "newton_nonlocal", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_multi_start_rays_keep_the_seeded_directions(ball, newton_starts, seed):
+    # the seed draws the same (c1, c2) as before the ray scaling, from
+    # (0, 1) instead of (0, cap): each start is a positive multiple of
+    # c1*phi1 + c2*torsion
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=const_one(ball))
+    multi_start(ball, params, SolverConfig(seed=seed), ())
+    _, phi1 = constants.eigenpair(ball)
+    psi = constants.torsion(ball).values
+    coeffs = np.random.default_rng(seed).uniform(size=(solvers.MULTI_STARTS, 2))
+    assert len(newton_starts) == len(coeffs)
+    for (start, _), (c1, c2) in zip(newton_starts, coeffs):
+        v = c1 * phi1.values + c2 * psi
+        t = float(start.ravel() @ v.ravel()) / float(v.ravel() @ v.ravel())
+        assert t > 0.0
+        np.testing.assert_allclose(start, t * v, rtol=1e-13, atol=0.0)
+
+
+def test_multi_start_step_budget_uniqueness_data(newton_starts):
+    # the uniqueness scenario's data: the 8 scaled starts sit next to the
+    # solution (sup 1.25e-4) and converge in one Newton step each, where
+    # starts of sup 0.05-0.24 took three (24 steps in all)
+    mesh = build_mesh("interval", 1.0, 513)
+    S, _ = constants.sobolev(mesh, 2.0)
+    b0 = compute_b0(ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.0), S)
+    params = ProblemParams(b=2.0 * b0, alpha=1.0, p=2.0, lam=1e-3, f=const_one(mesh))
+    cfg = SolverConfig()
+    priors = [o.solution for o in battery(mesh, params, cfg)]
+    newton_starts.clear()
+    sols = multi_start(mesh, params, cfg, priors)
+    assert len(sols) == 1
+    assert sum(out.iterations for _, out in newton_starts) <= 8
+
+
+def test_multi_start_step_budget_failing_threshold_vote(newton_starts):
+    # the first failing vote of the threshold scenario: both multi-starts
+    # find nothing, as the vote expects, after at most 8 Newton steps each
+    # (176 and 101 from the unscaled starts of sup 4e5-5e6 against ~200)
+    mesh = build_mesh("ball", 1.0, 65)
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=13421772.8, f=const_one(mesh))
+    cfg = SolverConfig(tol=1e-4)
+    priors = [o.solution for o in battery(mesh, params, cfg)]
+    for seed, given in ((42, priors), (43, ())):
+        newton_starts.clear()
+        assert multi_start(mesh, params, replace(cfg, seed=seed), given) == []
+        assert sum(out.iterations for _, out in newton_starts) <= 8
 
 
 def test_newton_rejects_transposed_start():

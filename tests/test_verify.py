@@ -655,7 +655,9 @@ def test_uniqueness_probe_small_lambda(interval):
     b0 = b0_for(interval)
     params = ProblemParams(b=2.0 * b0, alpha=1.0, p=2.0, lam=1e-3,
                            f=const_one(interval))
-    rec = uniqueness_probe(interval, params, SolverConfig())
+    cfg = SolverConfig()
+    rec = uniqueness_probe(interval, params, cfg,
+                           descent_minimize(interval, params, cfg))
     assert rec.lam == 1e-3
     assert rec.count == 1
     assert rec.contraction < 1.0
@@ -665,7 +667,8 @@ def test_uniqueness_probe_small_lambda(interval):
 def test_uniqueness_probe_regime_gate(interval):
     params = ProblemParams(b=1.0, alpha=0.5, p=3.0, lam=0.1, f=const_one(interval))
     with pytest.raises(RegimeError):
-        uniqueness_probe(interval, params, SolverConfig())
+        uniqueness_probe(interval, params, SolverConfig(),
+                         descent_minimize(interval, params, SolverConfig()))
 
 
 def test_supnorm_decay_scan(interval):
