@@ -243,6 +243,14 @@ def laplacian_apply(mesh: DomainMesh, u) -> GridFunction:
     return GridFunction(mesh, out)
 
 
+def sine_poisson(mesh: DomainMesh):
+    """The rectangle's sine-transform Poisson solver (``_kernels.sine_solver``),
+    built once per mesh and kept in ``mesh.cache``."""
+    if "sine_poisson" not in mesh.cache:
+        mesh.cache["sine_poisson"] = _kernels.sine_solver(*mesh.shape, *mesh.spacing)
+    return mesh.cache["sine_poisson"]
+
+
 def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     """Solve minus-Laplacian u = rhs exactly (up to round-off).
 
@@ -251,7 +259,7 @@ def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     """
     vals = _values(mesh, rhs)
     if mesh.kind == "rectangle":
-        return GridFunction(mesh, _kernels.sine_solver(*mesh.shape, *mesh.spacing)(vals))
+        return GridFunction(mesh, sine_poisson(mesh)(vals))
     sub, diag, sup = mesh.stencil
     x = np.empty_like(vals)
     _kernels.thomas_solve(sub, diag, sup, vals, x)

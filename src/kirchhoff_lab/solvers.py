@@ -52,6 +52,7 @@ from .mesh import (
     laplacian_apply,
     lp_norm,
     poisson_solve,
+    sine_poisson,
     sup_norm,
 )
 from .problem import (
@@ -91,32 +92,40 @@ class SolveOutcome:
     residual: float  # sup norm of the energy gradient
     energy: EnergyBreakdown
     converged: bool
-    positivity: str  # 'strictly-positive' | 'nonnegative' | 'sign-changing'
+    positivity: str  # 'strictly-positive' | 'nonnegative' | 'sign-changing' | 'zero'
     seminorm: float
     message: str = ""
     residual_history: tuple = ()
 
 
-def classify_positivity(values: np.ndarray) -> str:
+def classify_positivity(mesh: DomainMesh, values: np.ndarray, tol: float = 0.0) -> str:
+    """Sign pattern of a field, judged against SIGN_TOL_FACTOR times its
+    own sup, or "zero" when its sup is below tol sup(torsion) = tol
+    |A^-1|_inf, what a residual tol can resolve; no positive count accepts
+    "zero".  sup(torsion) <= max(extents)^2 on every mesh kind, so the
+    torsion is built only for fields that may be numerically zero."""
+    sup = float(np.max(np.abs(values)))
+    if sup < tol * max(mesh.extents) ** 2 and sup < tol * sup_norm(mesh, constants.torsion(mesh)):
+        return "zero"
     lo = float(np.min(values))
     if lo > 0.0:
         return "strictly-positive"
-    tol = SIGN_TOL_FACTOR * float(np.max(np.abs(values)))
-    return "nonnegative" if lo >= -tol else "sign-changing"
+    return "nonnegative" if lo >= -SIGN_TOL_FACTOR * sup else "sign-changing"
 
 
 def _outcome(mesh, params, values, solver, iterations, config, wants_converged,
              message="", history=()):
     u = GridFunction(mesh, np.asarray(values, dtype=float))
     res = sup_norm(mesh, energy_gradient(mesh, params, u))
+    converged = bool(wants_converged and res <= config.tol)
     return SolveOutcome(
         solution=u,
         solver=solver,
         iterations=iterations,
         residual=res,
         energy=energy_eval(mesh, params, u),
-        converged=bool(wants_converged and res <= config.tol),
-        positivity=classify_positivity(u.values),
+        converged=converged,
+        positivity=classify_positivity(mesh, u.values, config.tol if converged else 0.0),
         seminorm=h1_seminorm(mesh, u),
         message=message,
         residual_history=tuple(history),
@@ -304,7 +313,7 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
                 hx, hy = mesh.spacing
                 X = _kernels.local_minres(
                     -F.reshape(mesh.shape), pot.reshape(mesh.shape), coeff, hx, hy,
-                    Lu.reshape(mesh.shape), kappa * hx * hy)
+                    Lu.reshape(mesh.shape), kappa * hx * hy, sine_poisson(mesh))
             else:
                 J.flat[::n + 1] = coeff * diag - pot
                 J.flat[n::n + 1] = coeff * sub[1:]

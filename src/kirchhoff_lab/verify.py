@@ -7,21 +7,15 @@ Everything here deliberately avoids the solver machinery it certifies:
   derivatives.  For supercritical exponents its sign structure is what
   rules solutions out, so the residual doubles as a correctness gauge.
 * ``shooting_solve``     -- RK4 marching of the radial/mirrored ODE plus
-  a root search on the center value (a geometric ladder for the first
-  sign change, then Brent's method inside it); a discretization fully
-  independent of the grid stencils.  The ladder starts at a proven floor
-  a_lo below which the endpoint u_a(R) cannot change sign, with rungs
-  a_lo 2^k: a_lo = -c_f L forced, from the endpoint L = -w(center) of
-  one linear shot, for every f whose Poisson witness w is positive at the
-  center, sign-changing f included, and a_lo = (2 dim / (c_pow R^2))^(1/(p-1))
-  unforced; without a floor it climbs 2^k from a = 0.
-  ``homogeneous_shooting`` adds the scalar consistency analysis for the
-  unforced problem, ``kirchhoff_shooting`` a secant outer loop on the
-  nonlocal coefficient for the forced one.  That loop starts from the
-  linear shot: T(0) of the linear profile and the root of a
-  linear-response model, so it never solves the semilinear problem at
-  t = 0; its inner solves after the first bracket the root next to the
-  last one, scaled by c_f.
+  a root search on the center value, a discretization fully independent
+  of the grid stencils.  Each search predicts the root (Picard sweeps of
+  the Volterra form from the one linear shot, or exact scaling when
+  unforced), checks it with one shot against comparison bounds on the
+  endpoint map, and falls back to a ladder from a proven floor and
+  Brent's method.  ``homogeneous_shooting`` adds the scalar consistency
+  analysis for the unforced problem, ``kirchhoff_shooting`` a secant
+  outer loop on the nonlocal coefficient for the forced one, started
+  from the linear shot.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -152,6 +146,7 @@ def _simpson(y: np.ndarray, h: float) -> float:
 REFINE = 8
 MAX_OUTER = 300  # inner solves before kirchhoff_shooting gives up
 TRACK_MARGIN = 1e-9  # relative step above the scaled last root
+PICARD_SWEEPS = 3  # sweeps of the Volterra form behind a predicted root
 
 
 class _ShootingSetup:
@@ -237,44 +232,109 @@ def _floor(setup: _ShootingSetup, p, c_pow, c_f) -> float | None:
     return a_lo if a_lo > 0.0 else None
 
 
+def _gap(setup: _ShootingSetup, u, p, c_pow, pad) -> float:
+    """g = c_pow p (sup u_+ + pad)^(p-1) R^2 / (2 dim): 1 - g <= E'(a) <= 1
+    wherever the profile stays below sup u_+ + pad (nan if u is not finite)."""
+    top = max(float(np.max(u)), 0.0) + pad
+    return c_pow * p * top ** (p - 1.0) * setup.R**2 / (2.0 * setup.dim)
+
+
+def _predict(setup: _ShootingSetup, p, c_pow, c_f, a_lo) -> float | None:
+    """Center value predicted by Picard sweeps of the Volterra form
+    u(r) = a + c_f l(r) - D(r), D(r) = int_0^r K(r, s) c_pow u_+^p(s) ds,
+    with l the linear shot, K = r - s mirrored and s (1 - s/r) on the
+    ball, and a = a_lo + D(R) so that u(R) = 0.  The integrals are
+    cumulative trapezoid sums with the endpoint-derivative correction,
+    exact for cubics, since each sweep also carries u'.  None unless
+    g < 1/2 (``_gap``) on every sweep and every value is finite."""
+    h = setup.h_s
+    r = h * np.arange(setup.nsteps + 1)
+
+    def cumulative(y, dy):
+        out = np.zeros_like(y)
+        np.cumsum(0.5 * h * (y[1:] + y[:-1]) + (h * h / 12.0) * (dy[:-1] - dy[1:]),
+                  out=out[1:])
+        return out
+
+    lin, dlin = setup.linear()
+    u, du = a_lo + c_f * lin, c_f * dlin
+    for _ in range(PICARD_SWEEPS):
+        if not _gap(setup, u, p, c_pow, 0.0) < 0.5:
+            return None
+        up = np.maximum(u, 0.0)
+        q = c_pow * up**p
+        dq = np.where(u > 0.0, c_pow * p * up ** (p - 1.0) * du, 0.0)
+        I1 = cumulative(r * q, q + r * dq)
+        if setup.dim == 1:
+            I0 = cumulative(q, dq)
+            D, dD = r * I0 - I1, I0
+        else:
+            I2 = cumulative(r * r * q, r * (2.0 * q + r * dq))
+            rr = np.maximum(r, h)  # r, except at r = 0 where I2 = 0
+            D, dD = I1 - I2 / rr, I2 / rr**2
+        u, du = a_lo + D[-1] + c_f * lin - D, c_f * dlin - dD
+    return float(u[0]) if np.all(np.isfinite(u)) else None
+
+
+def _scaled_root(setup: _ShootingSetup, prof, p, a) -> float | None:
+    """Unforced center value predicted from the profile of a shot at a
+    that crosses zero: u_a(r) = a w(a^((p-1)/2) r) exactly, so the root is
+    a (r0/R)^(2/(p-1)) for the zero r0 of u_a, a root of the cubic Hermite
+    interpolant of (u, u') on the crossing step."""
+    k = int(np.argmax(prof[0] <= 0.0)) - 1  # u[k] > 0 >= u[k+1]
+    if k < 0:
+        return None
+    (y0, y1), (d0, d1) = prof[0][k:k + 2], setup.h_s * prof[1][k:k + 2]
+    t = y0 / (y0 - y1)
+    for _ in range(3):  # Newton on the Hermite cubic, from the secant root
+        H = ((2 * t - 3) * t * t + 1) * y0 + ((t - 2) * t + 1) * t * d0 \
+            + (3 - 2 * t) * t * t * y1 + (t - 1) * t * t * d1
+        dH = 6 * (t - 1) * t * (y0 - y1) + ((3 * t - 4) * t + 1) * d0 + (3 * t - 2) * t * d1
+        t -= H / dH
+    return a * float((k + t) * setup.h_s / setup.R) ** (2.0 / (p - 1.0))
+
+
 def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
-    """Profile ``(u, du)`` shot from the center value a = u[0] whose
-    profile hits zero at the boundary radius.
+    """Profile ``(u, du)`` shot from the smallest center value a = u[0]
+    whose profile hits zero at the boundary radius: predict, check, fall
+    back.  A comparison bound gives a floor a_lo below which the endpoint
+    map E(a) = u_a(R) keeps one sign:
 
-    A geometric ladder finds the first sign change of the endpoint map
-    E(a) = u_a(R), so the smallest crossing (the minimal branch) is kept;
-    Brent's method then pins the root inside that rung.  Where a
-    comparison bound proves that E(a) keeps one sign for a < a_lo, the
-    ladder starts at that floor, with rungs a_lo 2^k:
-
-    * forced, with c_pow >= 0: g(u) >= c_f f whatever the sign of f, so
-      E(a) <= a + c_f L and a_lo = -c_f L, E < 0 below it.  L is the
-      endpoint of the linear shot (a = 0, c_pow = 0, c_f = 1), and
-      L = -w(center) for the Poisson witness w of f;
+    * forced, with c_pow >= 0: c_pow u_+^p + c_f f >= c_f f whatever the
+      sign of f, so E(a) <= a + c_f L and a_lo = -c_f L, E < 0 below it;
+      L = -w(center) is the endpoint of the linear shot;
     * unforced, with c_f = 0, c_pow > 0 and p > 1: u decreases from a, so
       E(a) >= a - c_pow a^p R^2 / (2 dim) and
       a_lo = (2 dim / (c_pow R^2))^(1/(p-1)), E > 0 below it.
 
-    The forced bound is tight when c_pow a^p is below round-off, so
-    E(a_lo) >= 0 is rounding on a crossing at the floor, and that shot is
-    the root.  The unforced bound is strict at a_lo (u < a for r > 0), so
-    E(a_lo) < 0 can only be RK4 error: Brent then searches [a_lo/2, a_lo],
-    and E(a_lo/2) <= 0 raises ``ConvergenceError``.  Without a floor
-    (c_pow < 0, c_f L >= 0, or unforced with c_pow <= 0 or p <= 1) the
-    ladder climbs the rungs 2^k from a = 0, which it shoots when forced.
+    Forced, one shot checks the root ``_predict`` gives.  With g from
+    ``_gap`` on its profile, padded by 2|E|, 1 - g <= E' <= 1 puts the
+    root between a - E and a - E/(1 - g), and E' > 0 below a makes it the
+    smallest.  For g < 1/2 the shot is the root when |E|/(1 - g) <= xtol
+    = 1e-15 max(1, a), and a - E is when |E| g/(1 - g) <= xtol; otherwise
+    Brent runs on the bracket that a - E/(1 - g), across the root, closes.
+    With g >= 1/2, or a non-finite value, the fallback runs unchanged.
 
-    The setup keeps the linear shot and the root of the last solve with a
-    floor.  A later solve with c_f of the same sign shoots a_lo, then a
-    point just above the last root scaled by c_f, and climbs rungs from
-    there; in the usual case those two shots are the bracket Brent starts
-    from.
-    The profiles kept are those of the last two rungs and of Brent's
-    shots, the only points that can be returned.
+    Fallback: from a_lo, a geometric ladder of rungs a_lo 2^k finds the
+    first sign change of E, and Brent's method pins the root inside that
+    rung; unforced, the crossing rung's profile predicts the root
+    (``_scaled_root``), and a shot there narrows the rung first.  The
+    forced bound is tight when c_pow a^p is below round-off, so
+    E(a_lo) >= 0 is rounding on a crossing at the floor, and that shot is
+    the root.  The unforced bound is strict at a_lo, so E(a_lo) < 0 is
+    RK4 error: Brent then searches [a_lo/2, a_lo], and E(a_lo/2) <= 0
+    raises ``ConvergenceError``.  Without a floor (c_pow < 0, c_f L >= 0,
+    or unforced with c_pow <= 0 or p <= 1) the ladder climbs the rungs
+    2^k from a = 0, which it shoots when forced.  A forced fallback after
+    a solve with c_f of the same sign shoots a_lo and then a point just
+    above that root scaled by c_f, usually the bracket Brent starts from.
+    A non-finite endpoint is never a sign change.
     """
     shots = {}
 
     def endpoint(a):
-        shots[a] = setup.shoot(a, p, c_pow, c_f)
+        if a not in shots:
+            shots[a] = setup.shoot(a, p, c_pow, c_f)
         return float(shots[a][0][-1])
 
     def root(a):
@@ -282,13 +342,32 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
         return shots[a]
 
     a_lo = _floor(setup, p, c_pow, c_f)
+    prev_a = None
     if a_lo is None:
         prev_a, prev_val, a = 0.0, 0.0, LADDER_BOTTOM
         if c_f != 0.0:
             prev_val = endpoint(0.0)
             if prev_val == 0.0:
                 return shots[0.0]
-    else:
+    elif c_f != 0.0:
+        a = _predict(setup, p, c_pow, c_f, a_lo)
+        val = math.nan if a is None else endpoint(a)
+        g = _gap(setup, shots[a][0], p, c_pow, 2.0 * abs(val)) if math.isfinite(val) else 1.0
+        if g < 0.5:
+            # 1 - g <= E' <= 1: the root lies between a - val and a - val/(1 - g)
+            xtol = (1.0 - g) * 1e-15 * max(1.0, a)
+            if abs(val) * g <= xtol:
+                a = a if abs(val) <= xtol else a - val
+                endpoint(a)
+                return root(a)
+            other = max(a_lo, a - val / (1.0 - g))
+            if val < 0.0:
+                prev_a, prev_val, a = a, val, other
+            elif endpoint(other) < 0.0:
+                prev_a, prev_val = other, endpoint(other)
+            elif endpoint(other) == 0.0:
+                return root(other)
+    if prev_a is None:
         prev_a, prev_val = a_lo, endpoint(a_lo)
         if c_f == 0.0 and prev_val < 0.0:
             # the unforced bound is strict at a_lo: RK4 error, not a crossing
@@ -312,7 +391,16 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
             break
         if val == 0.0:
             return root(a)
-        if prev_val != 0.0 and np.sign(val) != np.sign(prev_val):
+        if val * prev_val < 0.0:
+            mid = _scaled_root(setup, shots[a], p, a) if c_f == 0.0 and a_lo is not None else None
+            if mid is not None and prev_a < mid < a:
+                e = endpoint(mid)
+                if e == 0.0:
+                    return root(mid)
+                if e * val < 0.0:
+                    prev_a, prev_val = mid, e
+                elif e * prev_val < 0.0:
+                    a, val = mid, e
             return root(_brent(endpoint, prev_a, a, prev_val, val,
                                1e-15 * max(1.0, a)))
         shots.pop(prev_a, None)
@@ -400,11 +488,9 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     same model with T(0) from that first inner solve.  It falls back to
     the damped step t + F(t)/2 when a secant step is not finite or would
     make t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning
-    the profile shot at that t.  Where the witness w of f is positive at
-    the center, sign-changing f included, every inner solve starts from
-    the floor -c_f L, L = -w(center) from the same linear shot, and after
-    the first brackets next to the last root (see ``_center_value``).
-    ``MAX_OUTER`` caps the number of inner solves.
+    the profile shot at that t.  Each inner solve predicts its root from
+    the linear shot, checks it with one shot and falls back to the ladder
+    (``_center_value``).  ``MAX_OUTER`` caps the number of inner solves.
     """
     if params.lam > 0.0 and f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")

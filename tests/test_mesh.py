@@ -26,6 +26,7 @@ from kirchhoff_lab.mesh import (
     lp_norm,
     poisson_solve,
     principal_eigenpair,
+    sine_poisson,
     sup_norm,
 )
 from kirchhoff_lab.problem import ProblemParams
@@ -249,7 +250,7 @@ def test_local_minres_matches_dense(definite, kappa):
     eigs = np.linalg.eigvalsh(M)
     assert (eigs.min() > 0.0) == definite
     r = rng.standard_normal(mesh.shape)
-    x = _kernels.local_minres(r, P, coeff, *mesh.spacing, v, kappa)
+    x = _kernels.local_minres(r, P, coeff, *mesh.spacing, v, kappa, sine_poisson(mesh))
     ref = np.linalg.solve(M, r.ravel()).reshape(mesh.shape)
     assert x.shape == r.shape
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -267,7 +268,8 @@ def test_local_minres_matches_dense_many_negative_eigenvalues():
     M = coeff * assembled_rectangle(mesh) - np.diag(P.ravel())
     assert 10 <= negative_eigenvalue_count(M, my) <= 16
     r = rng.standard_normal(mesh.shape)
-    x = _kernels.local_minres(r, P, coeff, *mesh.spacing, np.zeros(mesh.shape), 0.0)
+    x = _kernels.local_minres(r, P, coeff, *mesh.spacing, np.zeros(mesh.shape), 0.0,
+                              sine_poisson(mesh))
     ref = np.linalg.solve(M, r.ravel()).reshape(mesh.shape)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -287,7 +289,8 @@ def test_local_minres_singular_reports_failure():
     P = np.full(mesh.shape, coeff * discrete_lam1(mesh))
     r = np.random.default_rng(11).standard_normal(mesh.shape)
     with pytest.raises(np.linalg.LinAlgError):
-        _kernels.local_minres(r, P, coeff, *mesh.spacing, np.ones(mesh.shape), 0.0)
+        _kernels.local_minres(r, P, coeff, *mesh.spacing, np.ones(mesh.shape), 0.0,
+                              sine_poisson(mesh))
 
 
 @given(
@@ -317,7 +320,7 @@ def test_local_minres_and_sine_poisson_on_random_rectangles(mx, my, Lx, Ly, coef
     # an eigenvalue within round-off of zero makes the comparison meaningless
     assume(np.min(np.abs(np.linalg.eigvalsh(M))) >= 1e-3 * coeff * lam1)
     r = rng.standard_normal(mesh.shape)
-    x = _kernels.local_minres(r, P, coeff, hx, hy, v, kappa)
+    x = _kernels.local_minres(r, P, coeff, hx, hy, v, kappa, sine_poisson(mesh))
     ref = np.linalg.solve(M, r.ravel()).reshape(mesh.shape)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -358,6 +361,27 @@ def test_rectangle_poisson_factors_nothing(monkeypatch):
                            f=GridFunction(mesh, np.ones(mesh.shape)))
     out = newton_nonlocal(mesh, params, SolverConfig(tol=1e-9), mesh.zeros())
     assert out.converged and out.iterations >= 2
+
+
+def test_rectangle_sine_basis_built_once_per_mesh(monkeypatch):
+    # Poisson solves, the torsion and every MINRES solve of a Newton run
+    # share one pair of sine matrices per mesh
+    built = []
+    basis = _kernels._sine_basis
+
+    def counted(m, h):
+        built.append(m)
+        return basis(m, h)
+
+    monkeypatch.setattr(_kernels, "_sine_basis", counted)
+    mesh = build_mesh("rectangle", (1.0, 1.5), (17, 13))
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0,
+                           f=GridFunction(mesh, np.ones(mesh.shape)))
+    poisson_solve(mesh, np.ones(mesh.shape))
+    out = newton_nonlocal(mesh, params, SolverConfig(tol=1e-9), mesh.zeros())
+    assert out.converged and out.iterations >= 2
+    assert sorted(built) == [11, 15]
+    assert sine_poisson(mesh) is sine_poisson(mesh)
 
 
 def test_rectangle_eigenfunction_consistency():

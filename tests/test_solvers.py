@@ -40,7 +40,9 @@ from kirchhoff_lab.solvers import (
     SolverConfig,
     battery,
     build_barrier,
+    classify_positivity,
     descent_minimize,
+    distinct_positive,
     mountain_pass_geometry,
     mountain_pass_search,
     multi_start,
@@ -276,8 +278,38 @@ def test_newton_negative_start_lambda_zero(ball):
     start = GridFunction(ball, np.full(ball.shape, -5.0))
     out = newton_nonlocal(ball, params, SolverConfig(), start)
     assert out.converged
-    assert out.positivity != "strictly-positive"
+    assert out.positivity == "zero"
     assert sup_norm(ball, out.solution) <= 1e-8
+
+
+ZERO_MESHES = {"interval": ("interval", (1.0,), 65), "ball": ("ball", (1.0,), 65),
+               "rectangle": ("rectangle", (1.0, 1.5), (17, 13))}
+
+
+@pytest.mark.parametrize("kind", list(ZERO_MESHES))
+def test_trivial_root_is_zero_whatever_its_signs(kind):
+    # Newton from u = -5 at lambda = 0 lands on the trivial root; its sup
+    # is far below tol sup(torsion), the smallest sup a residual tol can
+    # tell from zero, so its round-off signs do not decide the label, and
+    # no positive count accepts it
+    mesh = build_mesh(*ZERO_MESHES[kind])
+    params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.0)
+    config = SolverConfig()
+    out = newton_nonlocal(mesh, params, config,
+                          GridFunction(mesh, np.full(mesh.shape, -5.0)))
+    assert out.converged and out.positivity == "zero"
+    assert distinct_positive([out], config.tol) == []
+    psi = constants.torsion(mesh).values
+    scale = config.tol * float(np.max(psi))
+    tiny = 1e-17 * psi + np.abs(out.solution.values)  # every round-off sign flipped up
+    flipped = np.where(np.arange(psi.size).reshape(psi.shape) % 2, -tiny, tiny)
+    for field in (tiny, flipped, 0.9 * scale * psi / np.max(psi)):
+        assert classify_positivity(mesh, field, config.tol) == "zero"
+    # unconverged (tol 0), by its own sup, and just above the scale: signs
+    assert classify_positivity(mesh, tiny) == "strictly-positive"
+    assert classify_positivity(mesh, flipped) == "sign-changing"
+    assert classify_positivity(mesh, 1.1 * scale * psi / np.max(psi),
+                               config.tol) == "strictly-positive"
 
 
 def test_newton_iteration_budget_respected(interval):

@@ -394,30 +394,31 @@ def shots(monkeypatch):
 def test_kirchhoff_shooting_shot_budget(ball, shots):
     # the linear shot gives T(0) and the floor; the first outer iterate,
     # the root of the linear-response model, is within the outer tolerance,
-    # so one inner solve suffices: the floor, twice the floor and Brent.
-    # The root's profile is kept, not shot again
+    # so one inner solve suffices, and the one shot at its predicted root
+    # is within xtol of the root by the comparison bounds
     params = ProblemParams(b=1.0, alpha=0.5, p=6.0, lam=0.01, f=const_one(ball))
     oracle = kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
-    assert 0 < len(shots) <= 4
+    assert 0 < len(shots) <= 2
     assert sup_norm(ball, oracle) > 0.0
 
 
 def test_kirchhoff_shooting_mountain_pass_shot_budget(ball, shots):
     # the mountain-pass verify config: the outer loop starts at the root
     # of the linear-response model, which lands within the outer
-    # tolerance, so the linear shot and one inner solve suffice
+    # tolerance, so the linear shot and one checked prediction suffice
     params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=const_one(ball))
     kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
-    assert 0 < len(shots) <= 5
+    assert 0 < len(shots) <= 2
 
 
 @pytest.mark.parametrize("p, lam, budget, center", [
-    (2.0, 1.0, 29, 0.47355337475780046), (4.0, 0.05, 10, 0.049385203292396415)])
+    (2.0, 1.0, 23, 0.47355337475780046), (4.0, 0.05, 3, 0.049385203292396415)],
+    ids=["p2", "p4"])
 def test_kirchhoff_shooting_signchanging_shot_budget(ball, shots, p, lam,
                                                      budget, center):
     # the paper's indefinite data: the quartic forcing changes sign, but its
-    # witness is positive, so every inner solve starts from the floor and
-    # the only a = 0 shot is the one linear shot behind it
+    # witness is positive, so every inner solve is predicted from the linear
+    # shot, the only a = 0 shot
     forcing = make_forcing(ball, "quartic-signchanging")
     params = ProblemParams(b=1.0, alpha=1.0, p=p, lam=lam, f=forcing.field)
     oracle = kirchhoff_shooting(ball, params, f_fn=forcing.fn)
@@ -454,12 +455,102 @@ def test_kirchhoff_shooting_past_the_semilinear_fold(ball, f, lam, p):
 
 def test_homogeneous_shooting_shot_budget(shots):
     # no a = 0 shot (its endpoint is exactly 0): the ladder starts at the
-    # floor (2 dim / R^2)^(1/(p-1)) = 8, then Brent inside [8, 16]
+    # floor (2 dim / R^2)^(1/(p-1)) = 8; the profile at 16 crosses zero and
+    # predicts the root by exact scaling, then Brent runs inside [8, 16]
     probe = homogeneous_shooting(build_mesh("interval", (1.0,), 129),
                                  p=2.0, alpha=1.0, b=0.1)
     assert probe.boundary_defect <= 1e-8
     assert shots[:2] == [8.0, 16.0]
-    assert len(shots) <= 9
+    assert 8.0 < shots[2] < 16.0
+    assert len(shots) <= 6
+
+
+def oracle_run(mesh, spec, p, alpha, lam, shots):
+    """(center value or exception type, shot count) of kirchhoff_shooting."""
+    forcing = make_forcing(mesh, spec)
+    params = ProblemParams(b=1.0, alpha=alpha, p=p, lam=lam, f=forcing.field)
+    shots.clear()
+    try:
+        u = kirchhoff_shooting(mesh, params, f_fn=forcing.fn)
+    except ConvergenceError as exc:
+        return type(exc), len(shots)
+    return float(u.values[0 if mesh.kind == "ball" else u.values.size // 2]), len(shots)
+
+
+def fallback_only(monkeypatch):
+    """Switch off both predictions: the floor-ladder-Brent path."""
+    monkeypatch.setattr(verify, "_predict", lambda *args: None)
+    monkeypatch.setattr(verify, "_scaled_root", lambda *args: None)
+
+
+@pytest.mark.parametrize("kind", ["ball", "interval"])
+@pytest.mark.parametrize("spec", ["constant 1.0", "quartic-signchanging"])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+def test_predicted_roots_agree_with_the_ladder(monkeypatch, shots, kind, spec, p):
+    # predict-check-fall back returns the root the floor-ladder-Brent path
+    # returns, or raises where it raises, and never takes more shots; the
+    # rows include the inputs where an unguarded prediction (no g < 1/2
+    # gate) handed Newton sign-changing starts
+    mesh = build_mesh(kind, (1.0,), 33 if kind == "ball" else 129)
+    alpha = 0.5 if p == 6.0 else 1.0
+    lams = [1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 100.0]
+    got = [oracle_run(mesh, spec, p, alpha, lam, shots) for lam in lams]
+    fallback_only(monkeypatch)
+    for lam, (center, n) in zip(lams, got):
+        ref, n_ref = oracle_run(mesh, spec, p, alpha, lam, shots)
+        assert n <= n_ref, lam
+        if isinstance(ref, float):
+            assert center == pytest.approx(ref, rel=1e-12, abs=0.0), lam
+        else:
+            assert center is ref, lam
+
+
+@pytest.mark.parametrize("kind, n, spec, lam", [
+    ("ball", 33, "quartic-signchanging", 20.0), ("ball", 65, "quartic-signchanging", 20.0),
+    ("ball", 65, "constant 1.0", 100.0), ("interval", 129, "quartic-signchanging", 100.0)])
+def test_oracle_traps_still_raise(shots, kind, n, spec, lam):
+    # supercritical data far past the fold: the predictor's g < 1/2 gate
+    # refuses these inputs, where an ungated prediction returned profiles
+    # with min down to -0.67 instead of raising
+    center, _ = oracle_run(build_mesh(kind, (1.0,), n), spec, 6.0, 0.5, lam, shots)
+    assert center is ConvergenceError
+
+
+def test_prediction_finds_the_root_the_ladder_skips(monkeypatch, shots):
+    # interval 129, p = 6, alpha = 1, lambda = 100: at the first inner solve
+    # E(a) rises from the floor, crosses zero twice and falls again between
+    # the rungs a_lo and 2 a_lo, so the ladder sees no sign change and
+    # raises; the predicted root, with E' >= 1 - g > 0 below it, is the
+    # smallest, and the oracle agrees with the grid solution
+    mesh = build_mesh("interval", (1.0,), 129)
+    forcing = make_forcing(mesh, "constant 1.0")
+    params = ProblemParams(b=1.0, alpha=1.0, p=6.0, lam=100.0, f=forcing.field)
+    oracle = kirchhoff_shooting(mesh, params, f_fn=forcing.fn)
+    out = descent_minimize(mesh, params, SolverConfig())
+    assert out.converged
+    scale = sup_norm(mesh, out.solution)
+    assert sup_norm(mesh, out.solution - oracle) <= 1e-4 * scale
+    fallback_only(monkeypatch)
+    with pytest.raises(ConvergenceError, match="no sign change"):
+        kirchhoff_shooting(mesh, params, f_fn=forcing.fn)
+
+
+def test_non_finite_prediction_leaves_the_fallback(monkeypatch, ball, shots):
+    # a predicted root whose shot overflows is not a sign change: the
+    # fallback then runs as if nothing had been predicted
+    one = lambda r: np.ones_like(r)  # noqa: E731
+    setup = _ShootingSetup(ball, one)
+    setup.linear()
+    monkeypatch.setattr(verify, "_predict", lambda *args: None)
+    shots.clear()
+    ref = verify._center_value(setup, 20.0, 1.0, 1.0)[0]
+    n_ref = len(shots)
+    setup.track = None
+    monkeypatch.setattr(verify, "_predict", lambda *args: 1e100)
+    shots.clear()
+    got = verify._center_value(setup, 20.0, 1.0, 1.0)[0]
+    assert shots[0] == 1e100 and len(shots) == n_ref + 1
+    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("kind", ["interval", "ball"])
@@ -612,11 +703,13 @@ def _rk4_reference(u0, h, nsteps, dim, p, c_pow, c_f, f_half, u, du):
 @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
 @pytest.mark.parametrize("a, c_pow, c_f", [(0.3, 1.0, 0.0), (0.3, 1.0, 2.5),
                                            (0.0, 1.0, 0.7), (1e100, 1.0, 0.0),
-                                           (3.0, -1.0, 0.0)])
+                                           (3.0, -1.0, 0.0), (0.0, 0.0, 1.0),
+                                           (1e100, 0.0, 0.5), (1e50, 0.0, -1e53)])
 def test_rk4_matches_reference_bit_for_bit(kind, p, a, c_pow, c_f):
-    # forced and unforced shots in dim 1 and 3; a = 1e100 overflows the
-    # power in the first step, and c_pow = -1 blows up partway out: the
-    # profile is nan from the same index on
+    # forced and unforced shots in dim 1 and 3, and linear ones (c_pow = 0,
+    # running sums in dim 1); a = 1e100 overflows the power in the first
+    # step, and c_pow = -1 (and a = 1e50 at p = 6) blows up partway out:
+    # the profile is nan from the same index on
     mesh = build_mesh(kind, (1.0,), 65)
     setup = _ShootingSetup(mesh, lambda r: 1.0 + np.cos(3.0 * r))
     n = setup.nsteps
@@ -627,7 +720,7 @@ def test_rk4_matches_reference_bit_for_bit(kind, p, a, c_pow, c_f):
         assert np.array_equal(x, y, equal_nan=True)
     if p == 6.0 and a == 1e100:
         assert np.isnan(got[0][1:]).all() and np.isfinite(got[0][0])
-    if c_pow < 0.0 and p == 6.0:
+    if (c_pow < 0.0 or a == 1e50) and p == 6.0:
         first_nan = int(np.argmax(np.isnan(got[0])))
         assert 1 < first_nan < n
 
