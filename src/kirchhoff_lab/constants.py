@@ -124,10 +124,13 @@ def _newton_polish(mesh: DomainMesh, u: np.ndarray, S: float, p: float):
     gradient test, and whose last correction is at most SOBOLEV_TOL sup w;
     the ball's origin node has weight 0, so only that last test converges
     its row.  Returns None after SOBOLEV_POLISH_STEPS steps without one,
-    or on a zero pivot or a non-finite step.
+    on a zero pivot, on a non-finite step or when the start overflows.
     """
     sub, diag, sup = mesh.stencil
-    w = S ** (1.0 / (p - 1.0)) * u
+    try:
+        w = S ** (1.0 / (p - 1.0)) * u
+    except OverflowError:
+        return None
     delta = np.empty_like(w)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(SOBOLEV_POLISH_STEPS):

@@ -93,7 +93,8 @@ def compute_b0(params: ProblemParams, S: float) -> float:
     For b above this value the unforced problem has no nontrivial
     solution; below it, scaled extremals of the embedding quotient solve
     it.  Formula:  b0 = (p-1) gamma^{gamma/(p-1)} (2 alpha l)^{-2 alpha/(p-1)}
-    with gamma = 2 alpha + 1 - p and l = S^{(p+1)/2}.
+    with gamma = 2 alpha + 1 - p and l = S^{(p+1)/2}.  Raises
+    ``RegimeError`` when a power overflows a double (p just above 1).
     """
     p, alpha = params.p, params.alpha
     gamma = 2.0 * alpha + 1.0 - p
@@ -101,8 +102,12 @@ def compute_b0(params: ProblemParams, S: float) -> float:
         raise RegimeError(
             f"coupling threshold needs p < 2*alpha + 1 (gamma > 0), got gamma={gamma}"
         )
-    l = S ** ((p + 1.0) / 2.0)
-    return (p - 1.0) * gamma ** (gamma / (p - 1.0)) * (2.0 * alpha * l) ** (-2.0 * alpha / (p - 1.0))
+    try:
+        l = S ** ((p + 1.0) / 2.0)
+        return ((p - 1.0) * gamma ** (gamma / (p - 1.0))
+                * (2.0 * alpha * l) ** (-2.0 * alpha / (p - 1.0)))
+    except OverflowError:
+        raise RegimeError(f"coupling threshold overflows a double at p = {p}") from None
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ Everything here deliberately avoids the solver machinery it certifies:
   the Volterra form from the one linear shot, or exact scaling when
   unforced), checks it with one shot against comparison bounds on the
   endpoint map, and falls back to a ladder from a proven floor and
-  Brent's method.  ``homogeneous_shooting`` adds the scalar consistency
-  analysis for the unforced problem, ``kirchhoff_shooting`` a secant
-  outer loop on the nonlocal coefficient for the forced one, started
-  from the linear shot.
+  Brent's method; data with no floor raise at once.
+  ``homogeneous_shooting`` solves the unforced problem by exact scaling,
+  and ``kirchhoff_shooting`` uses it at lambda = 0; forced, it runs a
+  secant outer loop on the nonlocal coefficient from the linear shot.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -147,6 +147,7 @@ REFINE = 8
 MAX_OUTER = 300  # inner solves before kirchhoff_shooting gives up
 TRACK_MARGIN = 1e-9  # relative step above the scaled last root
 PICARD_SWEEPS = 3  # sweeps of the Volterra form behind a predicted root
+LADDER_TOP = 2.0**61  # the ladder's last rung
 
 
 class _ShootingSetup:
@@ -182,8 +183,7 @@ class _ShootingSetup:
             self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         self.mesh = mesh
         self._linear = None  # the linear shot's profile, see ``linear``
-        # (c_f, root) of the last forced solve with a floor
-        self.track = None
+        self.track = None  # (c_f, root) of the last solve
 
     def shoot(self, a, p, c_pow, c_f):
         u = np.empty(self.nsteps + 1)
@@ -212,19 +212,17 @@ class _ShootingSetup:
         return _simpson(integrand, self.h_s)
 
 
-# the ladder from a = 0, used where no floor is proven: rungs 2^-30 ... 2^61
-LADDER_BOTTOM, LADDER_TOP = 2.0**-30, 2.0**61
-
-
 def _floor(setup: _ShootingSetup, p, c_pow, c_f) -> float | None:
     """Center value a_lo > 0 below which a comparison bound proves that the
-    endpoint E(a) = u_a(R) keeps one sign, or None without such a bound.
-
-    See ``_center_value`` for the bounds.
+    endpoint E(a) = u_a(R) keeps one sign, or None without such a bound
+    or when a_lo overflows a double.  See ``_center_value`` for the bounds.
     """
     if c_f == 0.0:
         if c_pow > 0.0 and p > 1.0:
-            return (2.0 * setup.dim / (c_pow * setup.R**2)) ** (1.0 / (p - 1.0))
+            try:
+                return (2.0 * setup.dim / (c_pow * setup.R**2)) ** (1.0 / (p - 1.0))
+            except OverflowError:
+                pass
         return None
     if c_pow < 0.0:
         return None
@@ -307,6 +305,9 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
       E(a) >= a - c_pow a^p R^2 / (2 dim) and
       a_lo = (2 dim / (c_pow R^2))^(1/(p-1)), E > 0 below it.
 
+    Without a floor (data outside the witness-positive class, or a_lo
+    too large for a double) it raises ``ConvergenceError`` at once.
+
     Forced, one shot checks the root ``_predict`` gives.  With g from
     ``_gap`` on its profile, padded by 2|E|, 1 - g <= E' <= 1 puts the
     root between a - E and a - E/(1 - g), and E' > 0 below a makes it the
@@ -321,15 +322,17 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
     (``_scaled_root``), and a shot there narrows the rung first.  The
     forced bound is tight when c_pow a^p is below round-off, so
     E(a_lo) >= 0 is rounding on a crossing at the floor, and that shot is
-    the root.  The unforced bound is strict at a_lo, so E(a_lo) < 0 is
-    RK4 error: Brent then searches [a_lo/2, a_lo], and E(a_lo/2) <= 0
-    raises ``ConvergenceError``.  Without a floor (c_pow < 0, c_f L >= 0,
-    or unforced with c_pow <= 0 or p <= 1) the ladder climbs the rungs
-    2^k from a = 0, which it shoots when forced.  A forced fallback after
-    a solve with c_f of the same sign shoots a_lo and then a point just
-    above that root scaled by c_f, usually the bracket Brent starts from.
-    A non-finite endpoint is never a sign change.
+    the root.  Unforced, E(a_lo) >= cos(sqrt 2) a_lo (the p -> 1 limit in
+    dim 1), so an E(a_lo) that is not positive and finite raises.  A
+    forced fallback after a solve with c_f of the same sign shoots a_lo
+    and then a point just above that root scaled by c_f, usually the
+    bracket Brent starts from.  A non-finite endpoint is never a sign
+    change.
     """
+    a_lo = _floor(setup, p, c_pow, c_f)
+    if a_lo is None:
+        raise ConvergenceError("no comparison floor: data outside the witness-"
+                               "positive class, or a floor too large for a double")
     shots = {}
 
     def endpoint(a):
@@ -338,18 +341,11 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
         return float(shots[a][0][-1])
 
     def root(a):
-        setup.track = (c_f, a) if a_lo is not None and c_f != 0.0 else None
+        setup.track = (c_f, a)
         return shots[a]
 
-    a_lo = _floor(setup, p, c_pow, c_f)
     prev_a = None
-    if a_lo is None:
-        prev_a, prev_val, a = 0.0, 0.0, LADDER_BOTTOM
-        if c_f != 0.0:
-            prev_val = endpoint(0.0)
-            if prev_val == 0.0:
-                return shots[0.0]
-    elif c_f != 0.0:
+    if c_f != 0.0:
         a = _predict(setup, p, c_pow, c_f, a_lo)
         val = math.nan if a is None else endpoint(a)
         g = _gap(setup, shots[a][0], p, c_pow, 2.0 * abs(val)) if math.isfinite(val) else 1.0
@@ -369,16 +365,9 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
                 return root(other)
     if prev_a is None:
         prev_a, prev_val = a_lo, endpoint(a_lo)
-        if c_f == 0.0 and prev_val < 0.0:
-            # the unforced bound is strict at a_lo: RK4 error, not a crossing
-            half = 0.5 * a_lo
-            val = endpoint(half)
-            if not val > 0.0:
-                raise ConvergenceError("shooting map not positive below the floor")
-            return shots[_brent(endpoint, half, a_lo, val, prev_val,
-                                1e-15 * max(1.0, a_lo))]
-        below = 1.0 if c_f == 0.0 else -1.0  # the sign of E below a_lo
-        if prev_val * below <= 0.0 and math.isfinite(prev_val):
+        if c_f == 0.0 and not 0.0 < prev_val < math.inf:
+            raise ConvergenceError("unforced shooting map not positive at its floor")
+        if c_f != 0.0 and 0.0 <= prev_val < math.inf:
             return root(a_lo)
         track = setup.track
         if track is not None and track[0] * c_f > 0.0:
@@ -392,7 +381,7 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
         if val == 0.0:
             return root(a)
         if val * prev_val < 0.0:
-            mid = _scaled_root(setup, shots[a], p, a) if c_f == 0.0 and a_lo is not None else None
+            mid = _scaled_root(setup, shots[a], p, a) if c_f == 0.0 else None
             if mid is not None and prev_a < mid < a:
                 e = endpoint(mid)
                 if e == 0.0:
@@ -461,48 +450,52 @@ def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float,
     problem reduces to zeta(t) = (1+bt)^{2 alpha/(p-1)} G - t with
     G = |grad w|^{2 alpha} of the base profile.  Above the threshold the
     map stays above the diagonal and no solution exists; below it the
-    smallest root is returned along with the scaled profile.
+    smallest root is returned along with the scaled profile.  A floor
+    that overflows a double (p just above 1) raises ``ConvergenceError``.
     """
     return _homogeneous_probes(mesh, p, alpha, [b])[0]
 
 
 def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
                        f_fn=None) -> GridFunction:
-    """Shooting oracle for the full forced nonlocal problem.
+    """Shooting oracle for the full nonlocal problem.
 
-    ``f_fn`` is the coordinate callable for the forcing (the nodal field
-    in ``params.f`` is never touched; the oracle stays off the grid).
-    Inner loop: semilinear shooting with the coefficient frozen at
-    (1+b t).  Outer loop: secant iteration on F(t) = T(t) - t, where
-    T(t) = |grad u|^{2 alpha} of the inner profile, taken from the fine
-    profile by Simpson quadrature.  For lambda > 0 no inner solve runs at
-    t = 0: the linear shot (``_ShootingSetup.linear``) gives
-    T_lin(0) = (lambda^2 |grad w|^2)^alpha for the Poisson witness w of
-    f, which is T(0) exactly when the inner profile is linear in
+    For lambda = 0 the unforced profile scales exactly: the profile of
+    ``homogeneous_shooting``, or ``ConvergenceError`` without a root.
+    Forced, ``f_fn`` is the coordinate callable for the forcing (the nodal
+    field in ``params.f`` is never touched).  Inner loop: semilinear
+    shooting with the coefficient frozen at (1+b t).  Outer loop: secant
+    iteration on F(t) = T(t) - t, where T(t) = |grad u|^{2 alpha} of the
+    inner profile, taken from the fine profile by Simpson quadrature.  No
+    inner solve runs at t = 0: the linear shot (``_ShootingSetup.linear``)
+    gives T_lin(0) = (lambda^2 |grad w|^2)^alpha for the Poisson witness w
+    of f, which is T(0) exactly when the inner profile is linear in
     c_f = lambda/(1+bt).  The first inner solve is at the root t1 of the
     linear-response model t = T_lin(0) (1 + b t)^(-2 alpha), and the
     secant runs from (0, T_lin(0)) and (t1, F(t1)).  Past the semilinear
-    fold the problem at t = 0 has no positive solution, so this start
-    also reaches solutions that a solve at t = 0 cannot.  For lambda = 0
-    the loop starts at t = 0, and its second iterate is the root of the
-    same model with T(0) from that first inner solve.  It falls back to
-    the damped step t + F(t)/2 when a secant step is not finite or would
-    make t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning
-    the profile shot at that t.  Each inner solve predicts its root from
-    the linear shot, checks it with one shot and falls back to the ladder
-    (``_center_value``).  ``MAX_OUTER`` caps the number of inner solves.
+    fold the problem at t = 0 has no positive solution, so this start also
+    reaches solutions that a solve at t = 0 cannot.  It falls back to the
+    damped step t + F(t)/2 when a secant step is not finite or would make
+    t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning the
+    profile shot at that t.  Each inner solve predicts its root from the
+    linear shot, checks it with one shot and falls back to the ladder
+    (``_center_value``), or raises without a floor.  ``MAX_OUTER`` caps
+    the number of inner solves.
     """
-    if params.lam > 0.0 and f_fn is None:
+    if params.lam == 0.0:
+        probe = homogeneous_shooting(mesh, params.p, params.alpha, params.b)
+        if not probe.found:
+            raise ConvergenceError("no consistency root: no unforced solution "
+                                   "at this b")
+        return probe.solution
+    if f_fn is None:
         raise ValueError("a forced problem needs the forcing callable f_fn")
     setup = _ShootingSetup(mesh, f_fn)
-    t = 0.0
-    t_prev = F_prev = None
-    if params.lam > 0.0:
-        # T(0) of the linear profile lam w, then the root t1 of the
-        # linear-response model t = T(0) (1 + b t)^(-2 alpha)
-        T0 = (params.lam**2 * setup.gradient_sq(setup.linear()[1])) ** params.alpha
-        t_prev, F_prev = 0.0, T0
-        t = consistency_root(T0, -2.0 * params.alpha, params.b)
+    # T(0) of the linear profile lam w, then the root t1 of the
+    # linear-response model t = T(0) (1 + b t)^(-2 alpha)
+    T0 = (params.lam**2 * setup.gradient_sq(setup.linear()[1])) ** params.alpha
+    t_prev, F_prev = 0.0, T0
+    t = consistency_root(T0, -2.0 * params.alpha, params.b)
     for _ in range(MAX_OUTER):
         coeff = 1.0 + params.b * t
         c_pow, c_f = 1.0 / coeff, params.lam / coeff
@@ -510,14 +503,10 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
         F = setup.gradient_sq(dprof) ** params.alpha - t
         if abs(F) <= 1e-10 * max(1.0, t):
             return setup.to_grid(prof)
-        if t_prev is None:
-            # from t = 0 to the root t1 of t = T(0) (1 + b t)^(-2 alpha)
-            step = consistency_root(F, -2.0 * params.alpha, params.b)
-        else:
-            dF = F - F_prev
-            step = -F * (t - t_prev) / dF if dF != 0.0 else math.inf
-            if not math.isfinite(step) or t + step < 0.0:
-                step = 0.5 * F
+        dF = F - F_prev
+        step = -F * (t - t_prev) / dF if dF != 0.0 else math.inf
+        if not math.isfinite(step) or t + step < 0.0:
+            step = 0.5 * F
         t_prev, F_prev = t, F
         t += step
     raise ConvergenceError("outer consistency loop did not settle")

@@ -264,6 +264,32 @@ def test_negative_seed_exits_2_before_solving(tmp_path, capsys, monkeypatch):
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+def test_seed_option_overrides_config(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: seen.append(config) or 0)
+    code, _ = run_cfg(tmp_path, SOLVE_A + "seed = 3\n", extra=("--seed", "7"))
+    assert code == 0
+    config, = seen
+    assert config.seed == 7 and config.kind == "solve"
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("kind = b0-scan\np = 1.001\nalpha = 1\ndomain = interval 1.0 129\n", 2,
+     "coupling threshold overflows a double"),
+    ("kind = verify\np = 1.001\nalpha = 1\nb = 1\ndomain = ball 1.0 65\n", 1,
+     "CHECK shooting-agreement: FAIL (no comparison floor"),
+], ids=["b0-scan", "verify"])
+def test_p_just_above_one_reports_overflow(tmp_path, capsys, text, code, message):
+    # (...)^(1/(p-1)) overflows a double at p = 1.001: the run says so
+    # instead of ending in an OverflowError traceback
+    got, out = run_cfg(tmp_path, text)
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    report = out / "report.txt"
+    assert message in (report.read_text() if report.exists() else err)
+
+
 def test_verify_subcommand_overrides_kind(tmp_path):
     code, out = run_cfg(tmp_path, SOLVE_A, command="verify")
     assert code == 0

@@ -10,11 +10,11 @@ PACKAGE = pathlib.Path(kirchhoff_lab.__file__).resolve().parent
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Reached only from outside the package, on purpose:
-# * supnorm_decay_scan and homogeneous_shooting are bound by name by the
-#   benchmark tracer (perfbench/tracer.py); without them ``--trace 1`` fails;
+# * supnorm_decay_scan is bound by name by the benchmark tracer
+#   (perfbench/tracer.py); without it ``--trace 1`` fails;
 # * shooting_solve is the oracle entry that the shooting tests check
 #   against exact solutions.
-TRACED_ONLY = {"supnorm_decay_scan", "homogeneous_shooting"}
+TRACED_ONLY = {"supnorm_decay_scan"}
 TEST_ONLY = TRACED_ONLY | {"shooting_solve"}
 
 

@@ -274,13 +274,19 @@ def test_shooting_no_sign_change(interval):
                        f_fn=lambda x: -np.ones_like(x))
 
 
-def test_shooting_overflow_is_no_sign_change(interval):
-    # the endpoint grows without bound and (u+)^20 overflows a double on
-    # the upper rungs: the overflowing shot reads as a non-finite endpoint,
-    # which ends the ladder, not as an OverflowError
+def test_shooting_overflow_is_no_sign_change(shots):
+    # floored data whose endpoint stays negative from the floor up, until
+    # (u+)^20 overflows a double on the upper rungs: the overflowing shot
+    # reads as a non-finite endpoint, which ends the ladder, not as an
+    # OverflowError
+    mesh = build_mesh("interval", (1.0,), 129)
     with pytest.raises(ConvergenceError, match="no sign change"):
-        shooting_solve(interval, p=20.0, c_pow=0.0, c_f=1.0,
-                       f_fn=lambda x: -np.ones_like(x))
+        shooting_solve(mesh, p=20.0, c_pow=1.0, c_f=10.0,
+                       f_fn=lambda x: np.ones_like(x))
+    before_last, last = shots[-2:]
+    setup = _ShootingSetup(mesh, lambda x: np.ones_like(x))
+    assert shot_end(setup, before_last, 20.0, 1.0, 10.0) < 0.0
+    assert math.isnan(shot_end(setup, last, 20.0, 1.0, 10.0))
 
 
 def test_shooting_rejects_rectangle():
@@ -583,33 +589,74 @@ def test_ladder_floor_skips_only_same_sign_rungs(kind):
                     p, c_pow, c_f, a / a_lo)
 
 
-def test_unforced_wrong_sign_at_floor_searches_below(monkeypatch):
-    # E(a_lo) < 0 unforced can only be RK4 error: a floor placed past the
-    # first crossing makes the solve search [a_lo/2, a_lo] for the same root
+def test_unforced_floor_past_the_root_raises(monkeypatch):
+    # the unforced bound gives E(a_lo) >= cos(sqrt 2) a_lo > 0, so a floor
+    # shot that is not positive is never a crossing: a floor placed past
+    # the first crossing raises instead of searching below it
     setup = verify._ShootingSetup(build_mesh("interval", (1.0,), 129), None)
     root = verify._center_value(setup, 2.0, 1.0, 0.0)[0][0]
-    assert shot_end(setup, 1.5 * root, 2.0, 1.0, 0.0) < 0.0
-    monkeypatch.setattr(verify, "_floor", lambda *args: 1.5 * root)
-    got = verify._center_value(setup, 2.0, 1.0, 0.0)[0]
-    assert got[0] == pytest.approx(root, rel=1e-14)
-    assert abs(got[-1]) <= 1e-12
-    monkeypatch.setattr(verify, "_floor", lambda *args: 3.0 * root)
-    with pytest.raises(ConvergenceError, match="below the floor"):
-        verify._center_value(setup, 2.0, 1.0, 0.0)
+    for factor in (1.5, 3.0):
+        assert shot_end(setup, factor * root, 2.0, 1.0, 0.0) < 0.0
+        monkeypatch.setattr(verify, "_floor", lambda *args: factor * root)
+        with pytest.raises(ConvergenceError, match="not positive at its floor"):
+            verify._center_value(setup, 2.0, 1.0, 0.0)
 
 
-def test_ladder_without_floor_shoots_zero_in_every_inner_solve(shots):
+def test_no_floor_refuses_at_once(shots):
     # c_f f < 0: the witness of c_f f is negative at the center, so no floor
-    # is proven, and the solve shoots a = 0 and climbs the ladder from there
-    for kind, node, center in (("interval", 64, 11.927879917849193),
-                               ("ball", 0, 19.310886807089968)):
+    # is proven, and the solve raises after the one linear shot that shows it
+    for kind in ("interval", "ball"):
         mesh = build_mesh(kind, (1.0,), 129 if kind == "interval" else 65)
         shots.clear()
-        u = shooting_solve(mesh, 2.0, c_pow=1.0, c_f=-1.0,
+        with pytest.raises(ConvergenceError, match="no comparison floor"):
+            shooting_solve(mesh, 2.0, c_pow=1.0, c_f=-1.0,
                            f_fn=lambda x: np.ones_like(x))
-        assert 0.0 in shots, kind
-        assert np.all(u.values > 0.0), kind
-        assert u.values[node] == pytest.approx(center, rel=1e-12, abs=0.0)
+        assert shots == [0.0], kind
+        forcing = make_forcing(mesh, "constant -1.0")
+        params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=forcing.field)
+        shots.clear()
+        with pytest.raises(ConvergenceError, match="no comparison floor"):
+            kirchhoff_shooting(mesh, params, f_fn=forcing.fn)
+        assert shots == [0.0], kind
+
+
+def test_unforced_floor_overflow_refuses(shots):
+    # p just above 1: the unforced floor (2 dim / R^2)^(1/(p-1)) overflows a
+    # double, which is no floor, not an OverflowError
+    mesh = build_mesh("ball", (1.0,), 65)
+    assert verify._floor(verify._ShootingSetup(mesh, None), 1.001, 1.0, 0.0) is None
+    with pytest.raises(ConvergenceError, match="no comparison floor"):
+        homogeneous_shooting(mesh, p=1.001, alpha=1.0, b=1.0)
+    assert shots == []
+
+
+@pytest.mark.parametrize("kind, n", [("ball", 65), ("interval", 129)])
+def test_prediction_above_the_root(monkeypatch, shots, kind, n):
+    # a predicted root above the true one (E > 0): the shot at
+    # a - E/(1 - g) closes the bracket below the root and Brent finishes;
+    # with g understated, a - E/(1 - g) stays above the root, and the
+    # ladder from the floor finishes.  Both return the unpatched root
+    mesh = build_mesh(kind, (1.0,), n)
+    one = lambda x: np.ones_like(x)  # noqa: E731
+
+    def solve():
+        setup = _ShootingSetup(mesh, one)
+        setup.linear()
+        shots.clear()
+        return setup, verify._center_value(setup, 4.0, 1.0, 1.0)[0][0]
+
+    _, root = solve()
+    monkeypatch.setattr(verify, "_predict", lambda *args: root * (1.0 + 1e-4))
+    _, got = solve()
+    assert shots[0] == root * (1.0 + 1e-4) and shots[1] < root
+    assert len(shots) <= 5
+    assert got == pytest.approx(root, rel=1e-15, abs=0.0)
+    monkeypatch.setattr(verify, "_predict", lambda *args: root * (1.0 + 1e-2))
+    monkeypatch.setattr(verify, "_gap", lambda *args: 1e-6)
+    setup, got = solve()
+    assert shots[1] > root and shots[2] == verify._floor(setup, 4.0, 1.0, 1.0)
+    assert len(shots) == 8
+    assert got == pytest.approx(root, rel=1e-15, abs=0.0)
 
 
 # center values of the benchmark's oracle cases, as computed by the oracle
@@ -732,6 +779,40 @@ def test_kirchhoff_shooting_outer_cap(ball, monkeypatch):
     monkeypatch.setattr(verify, "MAX_OUTER", 1)
     with pytest.raises(ConvergenceError):
         kirchhoff_shooting(ball, params, f_fn=lambda r: np.ones_like(r))
+
+
+# center values at lambda = 0 from the secant outer loop over unforced
+# inner solves, which exact scaling replaced
+UNFORCED_CENTERS = [
+    ("interval", 129, 4.0, 1.0, 1.0, 70.56023017013466),
+    ("interval", 513, 4.0, 1.0, 1.0, 70.59196605260362),
+    ("ball", 65, 4.0, 1.0, 1.0, 202.95455117102273),
+    ("ball", 65, 6.0, 0.5, 1.0, 18.038352642524092),
+    ("ball", 65, 3.5, 0.5, 2.0, 36.866879952639145),
+]
+
+
+@pytest.mark.parametrize("kind, n, p, alpha, b, center", UNFORCED_CENTERS,
+                         ids=[f"{k}{n}-p{p:g}-a{a:g}-b{b:g}"
+                              for k, n, p, a, b, _ in UNFORCED_CENTERS])
+def test_kirchhoff_shooting_unforced_by_scaling(kind, n, p, alpha, b, center):
+    mesh = build_mesh(kind, (1.0,), n)
+    params = ProblemParams(b=b, alpha=alpha, p=p, lam=0.0)
+    u = kirchhoff_shooting(mesh, params)
+    assert u.values[0 if kind == "ball" else n // 2] == pytest.approx(
+        center, rel=1e-10, abs=0.0)
+    probe = homogeneous_shooting(mesh, p, alpha, b)
+    assert np.array_equal(u.values, probe.solution.values)
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 513), ("ball", 65)])
+def test_kirchhoff_shooting_unforced_without_root_raises(shots, kind, n):
+    # p = 2, alpha = 1, b = 1 is above the b threshold: the consistency map
+    # has no root, which the one base profile settles
+    params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=0.0)
+    with pytest.raises(ConvergenceError, match="no consistency root"):
+        kirchhoff_shooting(build_mesh(kind, (1.0,), n), params)
+    assert 0 < len(shots) <= 10
 
 
 def test_kirchhoff_shooting_needs_callable(ball):
