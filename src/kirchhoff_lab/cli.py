@@ -4,7 +4,7 @@ Config files are line-oriented "key = value" text with '#' comments.
 Recognized keys:
 
     kind         solve | sweep | threshold | verify | membership | b0-scan
-    domain       interval L n | rectangle Lx Ly nx ny | ball R n  [centered]
+    domain       interval L n | rectangle Lx Ly nx ny | ball R n
     f            constant [v] | eigenmode [amp] | quartic-signchanging | file P
     b alpha p    problem coefficients
     lambda       forcing amplitude (scalar)                 } mutually
@@ -12,6 +12,8 @@ Recognized keys:
     b-grid       space-separated b values (b0-scan)
     tol max_iter seed                                solver knobs
     out          output directory
+
+Every real number, domain extents included, must be finite.
 
 Outputs land in the output directory: report.txt always (line format
 "CHECK <name>: PASS|FAIL (detail)"), branch.csv for solution tables,
@@ -60,7 +62,7 @@ _KINDS = ("solve", "sweep", "threshold", "verify", "membership", "b0-scan")
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    domain: tuple  # (mesh kind, extents, resolution, centered)
+    domain: tuple  # (mesh kind, extents, resolution)
     forcing: str | None = None
     b: float | None = None
     alpha: float | None = None
@@ -74,32 +76,30 @@ class ExperimentConfig:
     out: str = "out"
 
 
+def _finite(token: str) -> float:
+    """Read a config's real number; inf and nan raise ValueError."""
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {token!r}")
+    return x
+
+
 def _parse_domain(value: str):
-    toks = value.split()
-    centered = False
-    if toks and toks[-1] == "centered":
-        centered = True
-        toks = toks[:-1]
-    if not toks:
-        raise ConfigError("empty domain spec")
-    kind = toks[0]
-    try:
-        if kind in ("interval", "ball"):
-            if len(toks) != 3:
-                raise ConfigError(f"domain {kind} needs: extent, resolution")
-            return (kind, (float(toks[1]),), int(toks[2]), centered)
-        if kind == "rectangle":
-            if len(toks) != 5:
-                raise ConfigError("domain rectangle needs: Lx Ly nx ny")
-            return (kind, (float(toks[1]), float(toks[2])),
-                    (int(toks[3]), int(toks[4])), centered)
-    except ValueError:
-        raise ConfigError(f"malformed domain spec: {value!r}") from None
+    kind, *args = value.split()
+    if kind in ("interval", "ball"):
+        if len(args) != 2:
+            raise ConfigError(f"domain {kind} needs: extent, resolution")
+        return (kind, (_finite(args[0]),), int(args[1]))
+    if kind == "rectangle":
+        if len(args) != 4:
+            raise ConfigError("domain rectangle needs: Lx Ly nx ny")
+        return (kind, (_finite(args[0]), _finite(args[1])),
+                (int(args[2]), int(args[3])))
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def _floats(value: str) -> tuple:
-    vals = tuple(float(t) for t in value.split())
+    vals = tuple(_finite(t) for t in value.split())
     if not vals:
         raise ValueError("empty grid")
     return vals
@@ -109,13 +109,13 @@ _PARSERS = {
     "kind": str,
     "domain": _parse_domain,
     "f": str,
-    "b": float,
-    "alpha": float,
-    "p": float,
-    "lambda": float,
+    "b": _finite,
+    "alpha": _finite,
+    "p": _finite,
+    "lambda": _finite,
     "lambda-grid": _floats,
     "b-grid": _floats,
-    "tol": float,
+    "tol": _finite,
     "max_iter": int,
     "seed": int,
     "out": str,
@@ -297,8 +297,7 @@ def _verify_checks(lines, mesh, params, config, regime, forcing, outs):
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one experiment; write report.txt (+ CSVs); return exit code."""
     try:
-        kind, extents, resolution, centered = config.domain
-        mesh = build_mesh(kind, extents, resolution, centered=centered)
+        mesh = build_mesh(*config.domain)
         forcing = make_forcing(mesh, config.forcing) if config.forcing else None
         solver_cfg = SolverConfig(tol=config.tol, max_iter=config.max_iter,
                                   seed=config.seed)

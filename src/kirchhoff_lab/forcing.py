@@ -57,8 +57,7 @@ def eigenmode_forcing(mesh: DomainMesh, amp: float = 1.0) -> Forcing:
         fn = lambda r: amp * _mode_profile(r, a)
     else:
         fn = lambda *xs: math.prod(
-            (np.sin(np.pi / L * (x - o))
-             for x, o, L in zip(xs, mesh.origin, mesh.extents)), start=amp)
+            (np.sin(np.pi / L * x) for x, L in zip(xs, mesh.extents)), start=amp)
     return Forcing("eigenmode", mesh.field_from_callable(fn), fn)
 
 
@@ -75,11 +74,10 @@ def quartic_forcing(mesh: DomainMesh) -> Forcing:
     def q(s, L):  # -w''
         return -2.0 * L**2 + 12.0 * L * s - 12.0 * s**2
 
-    def fn(*xs):  # sum over axes i of q(s_i) * prod_{j != i} w(s_j)
-        s = [x - o for x, o in zip(xs, mesh.origin)]
-        return sum(math.prod((q if j == i else w)(sj, L)
-                             for j, (sj, L) in enumerate(zip(s, mesh.extents)))
-                   for i in range(len(s)))
+    def fn(*xs):  # sum over axes i of q(x_i) * prod_{j != i} w(x_j)
+        return sum(math.prod((q if j == i else w)(xj, L)
+                             for j, (xj, L) in enumerate(zip(xs, mesh.extents)))
+                   for i in range(len(xs)))
     return Forcing("quartic-signchanging", mesh.field_from_callable(fn), fn)
 
 

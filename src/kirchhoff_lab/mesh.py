@@ -2,16 +2,17 @@
 
 Supported geometries:
 
-* ``interval``  -- (0, L) or, with ``centered=True``, (-L/2, L/2)
-* ``rectangle`` -- (0, Lx) x (0, Ly), optionally centered the same way
+* ``interval``  -- (0, L)
+* ``rectangle`` -- (0, Lx) x (0, Ly)
 * ``ball``      -- radial profiles on the 3-d ball of radius R; nodes sit
   at r_j = j*h including the origin, with the symmetry condition u'(0)=0
   folded into the origin row of the operator.
 
 Outside the stencils the interval and the rectangle are one box
-geometry: the box with lower corner ``origin`` and side lengths
-``extents``.  ``nodes`` gives the interior coordinates as one array per
-axis, broadcast to the field shape (the radius r for a ball).
+geometry: the box [0, extents].  With zero boundary data nothing depends
+on where the origin sits, so the box is never shifted.  ``nodes`` gives
+the interior coordinates as one array per axis, broadcast to the field
+shape (the radius r for a ball).
 
 Grid functions store interior nodal values only; the zero boundary value
 is implicit.  The minus-Laplacian uses second-order central differences.
@@ -49,8 +50,8 @@ class DomainMesh:
     mutable part is ``cache``, where ``constants`` keeps what it derives
     from the mesh; it is freed with the mesh.
 
-    An interval or rectangle is the box ``origin + [0, extents]``; a ball
-    has radius ``extents[0]`` and origin (0.0,).  ``nodes`` holds the
+    An interval or rectangle is the box ``[0, extents]``; a ball has
+    radius ``extents[0]`` and its center at r = 0.  ``nodes`` holds the
     interior coordinates per axis at full field shape, the arguments a
     coordinate callable ``fn(*nodes)`` receives.
     """
@@ -60,7 +61,6 @@ class DomainMesh:
     h: float
     spacing: tuple  # per axis: (hx, hy) for a rectangle, (h,) otherwise
     extents: tuple
-    origin: tuple  # lower box corner, (x0,) or (x0, y0); (0.0,) for a ball
     shape: tuple  # interior node count per axis
     coords: tuple  # interior coordinate arrays, one per axis (r for ball)
     weights: np.ndarray  # quadrature weights, same shape as nodal values
@@ -138,7 +138,7 @@ def _values(mesh: DomainMesh, u) -> np.ndarray:
     return arr
 
 
-def build_mesh(kind: str, extents, resolution, centered: bool = False) -> DomainMesh:
+def build_mesh(kind: str, extents, resolution) -> DomainMesh:
     """Construct a uniform mesh.
 
     Parameters
@@ -146,15 +146,13 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
     kind : 'interval' | 'rectangle' | 'ball'
     extents : length L, pair (Lx, Ly), or ball radius R
     resolution : total node count per axis, boundary nodes included
-    centered : place the interval/rectangle symmetrically about the origin
     """
     if kind == "interval":
         L = float(extents if np.isscalar(extents) else extents[0])
         n = int(resolution if np.isscalar(resolution) else resolution[0])
         _check_axis(L, n)
         h = L / (n - 1)
-        x0 = -0.5 * L if centered else 0.0
-        xs = x0 + h * np.arange(1, n - 1)
+        xs = h * np.arange(1, n - 1)
         m = n - 2
         weights = np.full(m, h)
         inv_h2 = 1.0 / (h * h)
@@ -163,7 +161,7 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         sup = np.full(m, -inv_h2)
         face_w = np.full(m + 1, 1.0 / h)
         return DomainMesh(
-            kind, 1, h, (h,), (L,), (x0,), (m,), (xs,), weights,
+            kind, 1, h, (h,), (L,), (m,), (xs,), weights,
             stencil=(sub, diag, sup), face_weights=(face_w,),
         )
 
@@ -180,15 +178,12 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         _check_axis(Ly, ny)
         hx = Lx / (nx - 1)
         hy = Ly / (ny - 1)
-        x0 = -0.5 * Lx if centered else 0.0
-        y0 = -0.5 * Ly if centered else 0.0
-        xs = x0 + hx * np.arange(1, nx - 1)
-        ys = y0 + hy * np.arange(1, ny - 1)
+        xs = hx * np.arange(1, nx - 1)
+        ys = hy * np.arange(1, ny - 1)
         shape = (nx - 2, ny - 2)
         weights = np.full(shape, hx * hy)
         return DomainMesh(
-            kind, 2, max(hx, hy), (hx, hy), (Lx, Ly), (x0, y0), shape, (xs, ys),
-            weights,
+            kind, 2, max(hx, hy), (hx, hy), (Lx, Ly), shape, (xs, ys), weights,
         )
 
     if kind == "ball":
@@ -212,7 +207,7 @@ def build_mesh(kind: str, extents, resolution, centered: bool = False) -> Domain
         r_faces = h * np.arange(m + 1)  # r at nodes 0..m, r_m = R
         face_w = (_OMEGA3 / h) * r_faces[:-1] * r_faces[1:]
         return DomainMesh(
-            kind, 3, h, (h,), (R,), (0.0,), (m,), (r,), weights,
+            kind, 3, h, (h,), (R,), (m,), (r,), weights,
             stencil=(sub, diag, sup), face_weights=(face_w,),
         )
 
@@ -224,6 +219,10 @@ def _check_axis(L: float, n: int):
         raise MeshError(f"domain extent must be positive, got {L}")
     if n < 4:
         raise MeshError(f"need at least 4 nodes per axis, got {n}")
+    h2 = (L / (n - 1)) * (L / (n - 1))  # the stencils scale by 1/h^2
+    if not (0.0 < h2 < np.inf and 1.0 / h2 < np.inf):
+        raise MeshError(f"extent {L:g} over {n} nodes: h^2 or 1/h^2 is not "
+                        f"a positive finite double")
 
 
 # ---------------------------------------------------------------------------

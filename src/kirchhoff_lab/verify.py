@@ -12,7 +12,8 @@ Everything here deliberately avoids the solver machinery it certifies:
   the Volterra form from the one linear shot, or exact scaling when
   unforced), checks it with one shot against comparison bounds on the
   endpoint map, and falls back to a ladder from a proven floor and
-  Brent's method; data with no floor raise at once.
+  Brent's method; data with no floor raise at once.  No search reads
+  what an earlier one found.
   ``homogeneous_shooting`` solves the unforced problem by exact scaling,
   and ``kirchhoff_shooting`` uses it at lambda = 0; forced, it runs a
   secant outer loop on the nonlocal coefficient from the linear shot.
@@ -67,17 +68,16 @@ def _boundary_flux(mesh: DomainMesh, v: np.ndarray) -> float:
         R = mesh.extents[0]
         dn = (-4.0 * v[-1] + v[-2]) / (2.0 * mesh.h)
         return 4.0 * np.pi * R**3 * dn**2
-    # box faces at x_i = o_i (x . nu = -o_i) and x_i = o_i + L_i; the
-    # integrand vanishes at corners (w = 0 along each edge), so the
-    # interior-node sums are exact trapezoid rules over each face
+    # the box [0, L] is star-shaped about its corner: x . nu = 0 on the
+    # faces x_i = 0 and L_i on x_i = L_i.  The integrand vanishes at
+    # corners (w = 0 along each edge), so the interior-node sums are
+    # exact trapezoid rules over each face
     total = 0.0
-    for axis, (o, L, h) in enumerate(zip(mesh.origin, mesh.extents, mesh.spacing)):
+    for axis, (L, h) in enumerate(zip(mesh.extents, mesh.spacing)):
         face = math.prod(s for k, s in enumerate(mesh.spacing) if k != axis)
         w = np.moveaxis(v, axis, 0)
-        dn = (4.0 * w[0] - w[1]) / (2.0 * h)
-        total += (-o) * float(np.sum(dn**2)) * face
         dn = (-4.0 * w[-1] + w[-2]) / (2.0 * h)
-        total += (o + L) * float(np.sum(dn**2)) * face
+        total += L * float(np.sum(dn**2)) * face
     return total
 
 
@@ -145,15 +145,16 @@ def _simpson(y: np.ndarray, h: float) -> float:
 # RK4 steps per grid spacing (per half spacing on the mirrored interval)
 REFINE = 8
 MAX_OUTER = 300  # inner solves before kirchhoff_shooting gives up
-TRACK_MARGIN = 1e-9  # relative step above the scaled last root
 PICARD_SWEEPS = 3  # sweeps of the Volterra form behind a predicted root
 LADDER_TOP = 2.0**61  # the ladder's last rung
 
 
 class _ShootingSetup:
-    """Geometry bookkeeping shared by the oracle entry points, plus the
-    profile of the one linear shot, which gives the forced floor and
-    ``kirchhoff_shooting``'s first outer iterate."""
+    """Geometry bookkeeping shared by the oracle entry points, plus
+    ``linear``, the profile ``(u, du)`` of the linear shot (a = 0,
+    c_pow = 0, c_f = 1), shot once when a forcing is given (else None):
+    u = w - w(center) for the Poisson witness w of f, so du = dw and the
+    endpoint is L = -w(center).  Nothing is kept between solves."""
 
     def __init__(self, mesh: DomainMesh, f_fn):
         if mesh.kind == "ball":
@@ -171,7 +172,7 @@ class _ShootingSetup:
             n_axis = round(mesh.extents[0] / mesh.h)
             self.nsteps = REFINE * n_axis
             self.h_s = mesh.h / (2 * REFINE)
-            center = mesh.origin[0] + 0.5 * mesh.extents[0]
+            center = 0.5 * mesh.extents[0]
             off = np.abs(mesh.coords[0] - center) / self.h_s
             self.node_index = np.rint(off).astype(int)
         else:
@@ -182,8 +183,7 @@ class _ShootingSetup:
         else:
             self.f_half = np.asarray(f_fn(center + rq), dtype=float)
         self.mesh = mesh
-        self._linear = None  # the linear shot's profile, see ``linear``
-        self.track = None  # (c_f, root) of the last solve
+        self.linear = None if f_fn is None else self.shoot(0.0, 1.0, 0.0, 1.0)
 
     def shoot(self, a, p, c_pow, c_f):
         u = np.empty(self.nsteps + 1)
@@ -191,14 +191,6 @@ class _ShootingSetup:
         rk4_radial(float(a), self.h_s, self.nsteps, self.dim, float(p),
                    float(c_pow), float(c_f), self.f_half, u, du)
         return u, du
-
-    def linear(self):
-        """Profile ``(u, du)`` of the linear shot (a = 0, c_pow = 0,
-        c_f = 1), shot once per setup: u = w - w(center) for the Poisson
-        witness w of f, so du = dw and the endpoint is L = -w(center)."""
-        if self._linear is None:
-            self._linear = self.shoot(0.0, 1.0, 0.0, 1.0)
-        return self._linear
 
     def to_grid(self, prof: np.ndarray) -> GridFunction:
         return GridFunction(self.mesh, prof[self.node_index])
@@ -215,7 +207,8 @@ class _ShootingSetup:
 def _floor(setup: _ShootingSetup, p, c_pow, c_f) -> float | None:
     """Center value a_lo > 0 below which a comparison bound proves that the
     endpoint E(a) = u_a(R) keeps one sign, or None without such a bound
-    or when a_lo overflows a double.  See ``_center_value`` for the bounds.
+    (as for c_f != 0 with no forcing callable) or when a_lo overflows a
+    double.  See ``_center_value`` for the bounds.
     """
     if c_f == 0.0:
         if c_pow > 0.0 and p > 1.0:
@@ -224,9 +217,9 @@ def _floor(setup: _ShootingSetup, p, c_pow, c_f) -> float | None:
             except OverflowError:
                 pass
         return None
-    if c_pow < 0.0:
+    if c_pow < 0.0 or setup.linear is None:
         return None
-    a_lo = -c_f * float(setup.linear()[0][-1])
+    a_lo = -c_f * float(setup.linear[0][-1])
     return a_lo if a_lo > 0.0 else None
 
 
@@ -254,7 +247,7 @@ def _predict(setup: _ShootingSetup, p, c_pow, c_f, a_lo) -> float | None:
                   out=out[1:])
         return out
 
-    lin, dlin = setup.linear()
+    lin, dlin = setup.linear
     u, du = a_lo + c_f * lin, c_f * dlin
     for _ in range(PICARD_SWEEPS):
         if not _gap(setup, u, p, c_pow, 0.0) < 0.5:
@@ -312,9 +305,12 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
     ``_gap`` on its profile, padded by 2|E|, 1 - g <= E' <= 1 puts the
     root between a - E and a - E/(1 - g), and E' > 0 below a makes it the
     smallest.  For g < 1/2 the shot is the root when |E|/(1 - g) <= xtol
-    = 1e-15 max(1, a), and a - E is when |E| g/(1 - g) <= xtol; otherwise
-    Brent runs on the bracket that a - E/(1 - g), across the root, closes.
-    With g >= 1/2, or a non-finite value, the fallback runs unchanged.
+    = 1e-15 max(1, a), and a - E is when |E| g/(1 - g) <= xtol.  Picard
+    sweeps from below are monotone, so the prediction undershoots the root
+    up to a quadrature error that this test absorbs.  With E < 0 the
+    ladder continues from a, and its next rung a - E/(1 - g), across the
+    root, closes the bracket Brent pins.  Any other outcome (E > 0,
+    g >= 1/2, or a non-finite value) runs the fallback.
 
     Fallback: from a_lo, a geometric ladder of rungs a_lo 2^k finds the
     first sign change of E, and Brent's method pins the root inside that
@@ -324,10 +320,8 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
     E(a_lo) >= 0 is rounding on a crossing at the floor, and that shot is
     the root.  Unforced, E(a_lo) >= cos(sqrt 2) a_lo (the p -> 1 limit in
     dim 1), so an E(a_lo) that is not positive and finite raises.  A
-    forced fallback after a solve with c_f of the same sign shoots a_lo
-    and then a point just above that root scaled by c_f, usually the
-    bracket Brent starts from.  A non-finite endpoint is never a sign
-    change.
+    non-finite endpoint is never a sign change.  Nothing carries over from
+    an earlier solve.
     """
     a_lo = _floor(setup, p, c_pow, c_f)
     if a_lo is None:
@@ -340,10 +334,6 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
             shots[a] = setup.shoot(a, p, c_pow, c_f)
         return float(shots[a][0][-1])
 
-    def root(a):
-        setup.track = (c_f, a)
-        return shots[a]
-
     prev_a = None
     if c_f != 0.0:
         a = _predict(setup, p, c_pow, c_f, a_lo)
@@ -355,43 +345,34 @@ def _center_value(setup: _ShootingSetup, p, c_pow, c_f) -> tuple:
             if abs(val) * g <= xtol:
                 a = a if abs(val) <= xtol else a - val
                 endpoint(a)
-                return root(a)
-            other = max(a_lo, a - val / (1.0 - g))
+                return shots[a]
             if val < 0.0:
-                prev_a, prev_val, a = a, val, other
-            elif endpoint(other) < 0.0:
-                prev_a, prev_val = other, endpoint(other)
-            elif endpoint(other) == 0.0:
-                return root(other)
+                prev_a, prev_val, a = a, val, a - val / (1.0 - g)
     if prev_a is None:
         prev_a, prev_val = a_lo, endpoint(a_lo)
         if c_f == 0.0 and not 0.0 < prev_val < math.inf:
             raise ConvergenceError("unforced shooting map not positive at its floor")
         if c_f != 0.0 and 0.0 <= prev_val < math.inf:
-            return root(a_lo)
-        track = setup.track
-        if track is not None and track[0] * c_f > 0.0:
-            a = track[1] * (c_f / track[0]) * (1.0 + TRACK_MARGIN)
-        else:
-            a = 2.0 * a_lo
+            return shots[a_lo]
+        a = 2.0 * a_lo
     while a <= LADDER_TOP:
         val = endpoint(a)
         if not math.isfinite(val):
             break
         if val == 0.0:
-            return root(a)
+            return shots[a]
         if val * prev_val < 0.0:
             mid = _scaled_root(setup, shots[a], p, a) if c_f == 0.0 else None
             if mid is not None and prev_a < mid < a:
                 e = endpoint(mid)
                 if e == 0.0:
-                    return root(mid)
+                    return shots[mid]
                 if e * val < 0.0:
                     prev_a, prev_val = mid, e
                 elif e * prev_val < 0.0:
                     a, val = mid, e
-            return root(_brent(endpoint, prev_a, a, prev_val, val,
-                               1e-15 * max(1.0, a)))
+            return shots[_brent(endpoint, prev_a, a, prev_val, val,
+                                1e-15 * max(1.0, a))]
         shots.pop(prev_a, None)
         prev_a, prev_val = a, val
         a *= 2.0
@@ -477,9 +458,10 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     reaches solutions that a solve at t = 0 cannot.  It falls back to the
     damped step t + F(t)/2 when a secant step is not finite or would make
     t negative, and stops once |F(t)| <= 1e-10 max(1, t), returning the
-    profile shot at that t.  Each inner solve predicts its root from the
-    linear shot, checks it with one shot and falls back to the ladder
-    (``_center_value``), or raises without a floor.  ``MAX_OUTER`` caps
+    profile shot at that t.  Each inner solve, with no tracking of the
+    last root, returns the predicted root, Brent's root in the bracket the
+    prediction closes, or the root of the ladder from the floor
+    (``_center_value``); it raises without a floor.  ``MAX_OUTER`` caps
     the number of inner solves.
     """
     if params.lam == 0.0:
@@ -493,7 +475,7 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     setup = _ShootingSetup(mesh, f_fn)
     # T(0) of the linear profile lam w, then the root t1 of the
     # linear-response model t = T(0) (1 + b t)^(-2 alpha)
-    T0 = (params.lam**2 * setup.gradient_sq(setup.linear()[1])) ** params.alpha
+    T0 = (params.lam**2 * setup.gradient_sq(setup.linear[1])) ** params.alpha
     t_prev, F_prev = 0.0, T0
     t = consistency_root(T0, -2.0 * params.alpha, params.b)
     for _ in range(MAX_OUTER):

@@ -29,7 +29,7 @@ f = constant 1.0
 def test_parse_spec_example():
     cfg = parse_config(SOLVE_A.replace("65", "129"))
     assert cfg.kind == "solve"
-    assert cfg.domain == ("interval", (1.0,), 129, False)
+    assert cfg.domain == ("interval", (1.0,), 129)
     assert cfg.p == 2.0 and cfg.alpha == 1.0 and cfg.b == 1.0
     assert cfg.lam == 0.5
     assert cfg.forcing == "constant 1.0"
@@ -95,21 +95,25 @@ def test_parse_missing_line_shape():
 
 
 def test_parse_comments_and_centered():
+    # the box is always [0, L]: a trailing "centered" is one token too many
     text = """\
 # an experiment
 kind = membership
-domain = interval 2.0 33 centered  # symmetric about 0
+domain = interval 2.0 33  # the box [0, 2]
 f = quartic-signchanging
 """
     cfg = parse_config(text)
-    assert cfg.domain == ("interval", (2.0,), 33, True)
+    assert cfg.domain == ("interval", (2.0,), 33)
     assert cfg.forcing == "quartic-signchanging"
+    for domain in ("interval 2.0 33", "ball 1.0 17"):
+        with pytest.raises(ConfigError, match="needs: extent, resolution"):
+            parse_config(text.replace("interval 2.0 33", domain + " centered"))
 
 
 def test_parse_rectangle_domain():
     text = "kind = membership\ndomain = rectangle 1.0 2.0 17 33\nf = constant 1\n"
     cfg = parse_config(text)
-    assert cfg.domain == ("rectangle", (1.0, 2.0), (17, 33), False)
+    assert cfg.domain == ("rectangle", (1.0, 2.0), (17, 33))
 
 
 def test_parse_forcing_required_with_lambda():
@@ -290,6 +294,32 @@ def test_p_just_above_one_reports_overflow(tmp_path, capsys, text, code, message
     assert message in (report.read_text() if report.exists() else err)
 
 
+B0_SCAN = "kind = b0-scan\np = 2\nalpha = 1\ndomain = interval 1.0 33\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (SOLVE_A.replace("1.0 65", "1e-200 33"), "h^2 or 1/h^2"),
+    (SOLVE_A.replace("1.0 65", "1e200 33"), "h^2 or 1/h^2"),
+    (SOLVE_A.replace("1.0 65", "inf 33"), "malformed value for domain"),
+    (SOLVE_A.replace("lambda = 0.5", "lambda = inf"), "malformed value for lambda"),
+    (SOLVE_A.replace("lambda = 0.5", "lambda = nan"), "malformed value for lambda"),
+    (B0_SCAN + "b-grid = nan 1\n", "malformed value for b-grid"),
+    (SOLVE_A.replace("1.0 65", "1.0 33 centered"), "needs: extent, resolution"),
+    (B0_SCAN.replace("interval 1.0 33", "ball 1.0 17 centered"),
+     "needs: extent, resolution"),
+], ids=["tiny-extent", "huge-extent", "inf-extent", "inf-lambda", "nan-lambda",
+        "nan-b-grid", "centered-interval", "centered-ball"])
+def test_unusable_numbers_exit_2(tmp_path, capsys, text, message):
+    # a number that no grid of doubles can use is a configuration error,
+    # reported before any solve
+    code, out = run_cfg(tmp_path, text)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_subcommand_overrides_kind(tmp_path):
     code, out = run_cfg(tmp_path, SOLVE_A, command="verify")
     assert code == 0
@@ -354,7 +384,6 @@ def test_removed_solver_knobs_exit_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_coarse_ball_embedding_blowup_fails_check(tmp_path, capsys):
     # on ball 17 at p = 4 the embedding-quotient iteration diverges; the
     # run reports it as a failed check, not as a configuration error, and

@@ -47,15 +47,9 @@ def test_interval_mesh_basic():
     np.testing.assert_allclose(mesh.coords[0], [0.25, 0.5, 0.75])
 
 
-def test_centered_interval_coords():
-    mesh = build_mesh("interval", 1.0, 5, centered=True)
-    np.testing.assert_allclose(mesh.coords[0], [-0.25, 0.0, 0.25])
-
-
 def test_ball_mesh_basic():
     mesh = build_mesh("ball", 1.0, 101)
     assert mesh.dim == 3
-    assert mesh.origin == (0.0,)
     assert mesh.h == pytest.approx(0.01)
     assert mesh.shape == (100,)
     assert mesh.coords[0][0] == 0.0
@@ -71,6 +65,12 @@ def test_mesh_rejects_bad_arguments():
         build_mesh("interval", -1.0, 9)
     with pytest.raises(MeshError):
         build_mesh("hexagon", 1.0, 9)
+    # h^2 underflows to 0, or overflows so that 1/h^2 does: checked per axis
+    for kind, extents in (("interval", 1e-200), ("interval", 1e200),
+                          ("ball", 1e-200), ("rectangle", (1.0, 1e-200)),
+                          ("rectangle", (1e200, 1.0))):
+        with pytest.raises(MeshError, match=r"h\^2 or 1/h\^2"):
+            build_mesh(kind, extents, 17)
 
 
 def test_mesh_mismatch_detected():

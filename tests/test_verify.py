@@ -56,11 +56,6 @@ def interval():
 
 
 @pytest.fixture(scope="module")
-def cinterval():
-    return build_mesh("interval", (1.0,), 65, centered=True)
-
-
-@pytest.fixture(scope="module")
 def ball():
     return build_mesh("ball", (1.0,), 65)
 
@@ -86,29 +81,34 @@ def test_pohozaev_zero_field(interval):
     assert rep.rel_residual == 0.0
 
 
-def test_pohozaev_interval_torsion_closed_form(cinterval):
-    # quadratic profile: boundary flux is exact, the volume side carries
+def test_pohozaev_interval_torsion_closed_form(interval):
+    # quadratic profile on [0, 1], star-shaped about its left end: the
+    # boundary flux, all from x = 1, is exact, and the volume side carries
     # only the trapezoid defect, so residual = h^2/4 on the nose
-    h = cinterval.h
-    psi = constants.torsion(cinterval)
-    ones = np.ones(cinterval.shape)
-    rep = pohozaev_residual(cinterval, psi, p=2.0, c_pow=0.0,
-                            forcing=ones, forcing_xdot=np.zeros(cinterval.shape))
-    assert abs(rep.boundary - 0.25) < 1e-13
-    assert abs(rep.volume - (0.25 - h * h / 4.0)) < 1e-13
-    assert abs(rep.residual - h * h / 4.0) < 1e-13
-    assert rep.rel_residual <= 5.0 * h
-
-
-def test_pohozaev_uncentered_interval_matches(interval):
-    # star-shaped about the left endpoint: one face drops out, same identity
     h = interval.h
     psi = constants.torsion(interval)
     rep = pohozaev_residual(interval, psi, p=2.0, c_pow=0.0,
                             forcing=np.ones(interval.shape),
                             forcing_xdot=np.zeros(interval.shape))
     assert abs(rep.boundary - 0.25) < 1e-13
+    assert abs(rep.volume - (0.25 - h * h / 4.0)) < 1e-13
     assert abs(rep.residual - h * h / 4.0) < 1e-13
+    assert rep.rel_residual <= 5.0 * h
+
+
+def test_pohozaev_uncentered_interval_matches():
+    # star-shaped about the left endpoint of [0, L]: only the face x = L
+    # contributes, with flux L * (L/2)^2, and the defect is L h^2 / 4
+    for length in (1.0, 2.0):
+        mesh = build_mesh("interval", (length,), 65)
+        h = mesh.h
+        psi = constants.torsion(mesh)
+        rep = pohozaev_residual(mesh, psi, p=2.0, c_pow=0.0,
+                                forcing=np.ones(mesh.shape),
+                                forcing_xdot=np.zeros(mesh.shape))
+        tol = 1e-13 * length**3
+        assert abs(rep.boundary - length**3 / 4.0) < tol
+        assert abs(rep.residual - length * h * h / 4.0) < tol
 
 
 def test_pohozaev_ball_torsion():
@@ -130,7 +130,7 @@ def test_pohozaev_rectangle_torsion():
     square = build_mesh("rectangle", (1.0, 1.0), 33)
     # hx = 1/32, hy = 1/24: a face measure taken from the wrong axis
     # leaves a relative residual of about 0.045 here, correct ones 0.005
-    skewed = build_mesh("rectangle", (1.0, 2.0), (33, 49), centered=True)
+    skewed = build_mesh("rectangle", (1.0, 2.0), (33, 49))
     for mesh, bound in ((square, 5.0 * square.h), (skewed, 0.5 * skewed.h)):
         psi = poisson_solve(mesh, np.ones(mesh.shape))
         rep = pohozaev_residual(mesh, psi, p=2.0, c_pow=0.0,
@@ -184,11 +184,9 @@ def test_xdot_grad_values_quartic(interval, ball):
 
 
 XDOT_MESHES = {
-    "interval": ("interval", (1.0,), 65, False),
-    "centered-interval": ("interval", (1.0,), 65, True),
-    "rectangle": ("rectangle", (1.0, 2.0), (17, 33), False),
-    "centered-rectangle": ("rectangle", (1.0, 2.0), (17, 33), True),
-    "ball": ("ball", (1.0,), 65, False),
+    "interval": ("interval", (1.0,), 65),
+    "rectangle": ("rectangle", (1.0, 2.0), (17, 33)),
+    "ball": ("ball", (1.0,), 65),
 }
 
 
@@ -203,27 +201,26 @@ def _xdot_by_hand(mesh, spec):
             ar = np.pi * np.where(r > 0.0, r, 1.0)
             return np.where(r > 0.0, 1.3 * (np.cos(ar) - np.sin(ar) / ar), 0.0)
         return -40.0 * r**2
-    xs = mesh.nodes
-    s = [x - o for x, o in zip(xs, mesh.origin)]
-    ax = range(len(s))
+    x = mesh.nodes
+    ax = range(len(x))
     if spec.startswith("eigenmode"):
         k = [np.pi / L for L in mesh.extents]
         return 1.3 * sum(
-            xs[i] * k[i] * math.prod(np.cos(k[j] * s[j]) if j == i
-                                     else np.sin(k[j] * s[j]) for j in ax)
+            x[i] * k[i] * math.prod(np.cos(k[j] * x[j]) if j == i
+                                    else np.sin(k[j] * x[j]) for j in ax)
             for i in ax)
-    # f = sum_i q_i prod_{j != i} w_j with w = (s(L - s))^2, q = -w''
+    # f = sum_i q_i prod_{j != i} w_j with w = (x(L - x))^2, q = -w''
     L = mesh.extents
-    w = [(s[j] * (L[j] - s[j])) ** 2 for j in ax]
-    dw = [2.0 * s[j] * (L[j] - s[j]) * (L[j] - 2.0 * s[j]) for j in ax]
-    q = [-2.0 * L[j] ** 2 + 12.0 * L[j] * s[j] - 12.0 * s[j] ** 2 for j in ax]
-    dq = [12.0 * L[j] - 24.0 * s[j] for j in ax]
+    w = [(x[j] * (L[j] - x[j])) ** 2 for j in ax]
+    dw = [2.0 * x[j] * (L[j] - x[j]) * (L[j] - 2.0 * x[j]) for j in ax]
+    q = [-2.0 * L[j] ** 2 + 12.0 * L[j] * x[j] - 12.0 * x[j] ** 2 for j in ax]
+    dq = [12.0 * L[j] - 24.0 * x[j] for j in ax]
 
     def factor(i, j, k):  # d/dx_k of the j-th factor of term i
         if j == i:
             return dq[j] if j == k else q[j]
         return dw[j] if j == k else w[j]
-    return sum(xs[k] * sum(math.prod(factor(i, j, k) for j in ax) for i in ax)
+    return sum(x[k] * sum(math.prod(factor(i, j, k) for j in ax) for i in ax)
                for k in ax)
 
 
@@ -231,7 +228,7 @@ def _xdot_by_hand(mesh, spec):
                                   "quartic-signchanging"])
 @pytest.mark.parametrize("name", list(XDOT_MESHES))
 def test_xdot_grad_values_match_hand_derivatives(name, spec):
-    mesh = build_mesh(*XDOT_MESHES[name][:3], centered=XDOT_MESHES[name][3])
+    mesh = build_mesh(*XDOT_MESHES[name])
     got = xdot_grad_values(mesh, make_forcing(mesh, spec))
     expect = _xdot_by_hand(mesh, spec)
     assert got.shape == mesh.shape
@@ -544,19 +541,48 @@ def test_prediction_finds_the_root_the_ladder_skips(monkeypatch, shots):
 def test_non_finite_prediction_leaves_the_fallback(monkeypatch, ball, shots):
     # a predicted root whose shot overflows is not a sign change: the
     # fallback then runs as if nothing had been predicted
-    one = lambda r: np.ones_like(r)  # noqa: E731
-    setup = _ShootingSetup(ball, one)
-    setup.linear()
+    setup = _ShootingSetup(ball, lambda r: np.ones_like(r))
     monkeypatch.setattr(verify, "_predict", lambda *args: None)
     shots.clear()
     ref = verify._center_value(setup, 20.0, 1.0, 1.0)[0]
     n_ref = len(shots)
-    setup.track = None
     monkeypatch.setattr(verify, "_predict", lambda *args: 1e100)
     shots.clear()
     got = verify._center_value(setup, 20.0, 1.0, 1.0)[0]
     assert shots[0] == 1e100 and len(shots) == n_ref + 1
     assert np.array_equal(got, ref)
+
+
+def test_inner_solve_does_not_depend_on_earlier_solves(monkeypatch, shots):
+    # ball 65, constant f, p = 3.5, alpha = 0.5, b = 1, lambda = 100: the
+    # predictor refuses these inner solves, so each climbs the ladder from
+    # its floor.  The second inner solve takes the same shots and returns
+    # the same profile on a fresh setup as after the first solve, whose
+    # c_f has the same sign
+    mesh = build_mesh("ball", (1.0,), 65)
+    forcing = make_forcing(mesh, "constant 1.0")
+    params = ProblemParams(b=1.0, alpha=0.5, p=3.5, lam=100.0, f=forcing.field)
+    center_value = verify._center_value
+    inner = []
+
+    def recorded(setup, *args):
+        inner.append(args)
+        return center_value(setup, *args)
+
+    monkeypatch.setattr(verify, "_center_value", recorded)
+    kirchhoff_shooting(mesh, params, f_fn=forcing.fn)
+    first, second = inner[:2]
+    runs = []
+    for earlier in ([], [first]):
+        setup = _ShootingSetup(mesh, forcing.fn)
+        for args in earlier:
+            center_value(setup, *args)
+        shots.clear()
+        runs.append((center_value(setup, *second), list(shots)))
+    (fresh, fresh_shots), (after, after_shots) = runs
+    assert fresh_shots[0] == verify._floor(setup, *second)
+    assert after_shots == fresh_shots
+    assert np.array_equal(after[0], fresh[0]) and np.array_equal(after[1], fresh[1])
 
 
 @pytest.mark.parametrize("kind", ["interval", "ball"])
@@ -632,31 +658,19 @@ def test_unforced_floor_overflow_refuses(shots):
 
 @pytest.mark.parametrize("kind, n", [("ball", 65), ("interval", 129)])
 def test_prediction_above_the_root(monkeypatch, shots, kind, n):
-    # a predicted root above the true one (E > 0): the shot at
-    # a - E/(1 - g) closes the bracket below the root and Brent finishes;
-    # with g understated, a - E/(1 - g) stays above the root, and the
-    # ladder from the floor finishes.  Both return the unpatched root
+    # a predicted root above the true one (E > 0), which monotone Picard
+    # sweeps never give beyond quadrature error: the ladder from the floor
+    # takes over, and its root is the unpatched one
     mesh = build_mesh(kind, (1.0,), n)
-    one = lambda x: np.ones_like(x)  # noqa: E731
-
-    def solve():
-        setup = _ShootingSetup(mesh, one)
-        setup.linear()
+    setup = _ShootingSetup(mesh, lambda x: np.ones_like(x))
+    root = verify._center_value(setup, 4.0, 1.0, 1.0)[0][0]
+    a_lo = verify._floor(setup, 4.0, 1.0, 1.0)
+    for above in (1e-4, 1e-2):
+        monkeypatch.setattr(verify, "_predict", lambda *args: root * (1.0 + above))
         shots.clear()
-        return setup, verify._center_value(setup, 4.0, 1.0, 1.0)[0][0]
-
-    _, root = solve()
-    monkeypatch.setattr(verify, "_predict", lambda *args: root * (1.0 + 1e-4))
-    _, got = solve()
-    assert shots[0] == root * (1.0 + 1e-4) and shots[1] < root
-    assert len(shots) <= 5
-    assert got == pytest.approx(root, rel=1e-15, abs=0.0)
-    monkeypatch.setattr(verify, "_predict", lambda *args: root * (1.0 + 1e-2))
-    monkeypatch.setattr(verify, "_gap", lambda *args: 1e-6)
-    setup, got = solve()
-    assert shots[1] > root and shots[2] == verify._floor(setup, 4.0, 1.0, 1.0)
-    assert len(shots) == 8
-    assert got == pytest.approx(root, rel=1e-15, abs=0.0)
+        got = verify._center_value(setup, 4.0, 1.0, 1.0)[0][0]
+        assert shots[:3] == [root * (1.0 + above), a_lo, 2.0 * a_lo]
+        assert got == pytest.approx(root, rel=1e-15, abs=0.0)
 
 
 # center values of the benchmark's oracle cases, as computed by the oracle
