@@ -1,10 +1,11 @@
 """Hot numerical kernels: the tridiagonal apply and solve, the 2-D
-5-point stencil, its fast Poisson solve by double sine transform
-(``sine_solver``), the MINRES solve of the stencil shifted by a
-variable potential and a symmetric rank-one term (``local_minres``,
-preconditioned by that transform), and the radial RK4 shot, in numpy and
-plain Python.  The 2-D kernels take one (mx, my) field; no rectangle
-matrix is assembled or factored.
+5-point stencil, its eigenbasis and fast Poisson solve by double sine
+transform (``SineSolver``), the MINRES solve of the stencil shifted by a
+variable potential and a symmetric rank-one term (``local_minres``, run
+on sine coefficients, where the stencil and its preconditioner are
+diagonal), and the radial RK4 shot, in numpy and plain Python.  The 2-D
+kernels take one (mx, my) field; no rectangle matrix is assembled or
+factored.
 
 The two scalar loops, ``thomas_solve`` and ``rk4_radial``, run on Python
 floats rather than numpy scalars: the doubles and the expression order
@@ -14,6 +15,8 @@ OverflowError where numpy returned inf, so ``rk4_radial`` stops the shot
 there and fills the rest of the profile with nan.  A linear shot
 (c_pow = 0) in dim 1 needs no loop: its RK4 steps are running sums.
 """
+
+import math
 
 import numpy as np
 
@@ -63,35 +66,43 @@ def _sine_basis(m, h):
     return Q, (4.0 / h**2) * np.sin((0.5 * np.pi / n) * j) ** 2
 
 
-def sine_solver(mx, my, hx, hy):
-    """Solver of the 5-point minus-Laplacian system on an (mx, my) interior
-    grid with zero Dirichlet data and spacings hx, hy: the returned
-    function maps a right-hand side R to the solution U.
+class SineSolver:
+    """The 5-point minus-Laplacian on an (mx, my) interior grid with zero
+    Dirichlet data and spacings hx, hy, in its eigenbasis; calling it maps
+    a right-hand side R to the solution U.
 
     The operator is a Kronecker sum of two second differences, so the
     orthonormal sine matrices Qx and Qy diagonalise it with eigenvalues
-    mu_x[i] + mu_y[j] (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
-    1970): U = Qx ((Qx R Qy) / (mu_x[i] + mu_y[j])) Qy, four matmuls and
-    O(mx my (mx + my)) work.  The sine matrices are built once per
-    solver, so repeated solves share them.
+    lam[i, j] = mu_x[i] + mu_y[j] (Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7, 1970).  ``transform`` is R -> Qx R Qy, orthonormal and its
+    own inverse, so it carries a field into sine coefficients and back;
+    U = transform(transform(R) / lam) is four matmuls and
+    O(mx my (mx + my)) work.  The sine matrices are built once per solver,
+    so repeated solves share them.
     """
-    Qx, mu_x = _sine_basis(mx, hx)
-    Qy, mu_y = _sine_basis(my, hy)
-    lam = mu_x[:, None] + mu_y
 
-    def solve(R):
-        return Qx @ ((Qx @ R @ Qy) / lam) @ Qy
+    __slots__ = ("Qx", "Qy", "lam")
 
-    return solve
+    def __init__(self, mx, my, hx, hy):
+        self.Qx, mu_x = _sine_basis(mx, hx)
+        self.Qy, mu_y = _sine_basis(my, hy)
+        self.lam = mu_x[:, None] + mu_y
+
+    def transform(self, R):
+        return self.Qx @ R @ self.Qy
+
+    def __call__(self, R):
+        return self.transform(self.transform(R) / self.lam)
 
 
 def lap2d_apply(u, out, inv_hx2, inv_hy2):
-    # 5-point minus-Laplacian of an (mx, my) field, implicit zero boundary
-    out[:] = (2.0 * inv_hx2 + 2.0 * inv_hy2) * u
-    out[1:, :] -= inv_hx2 * u[:-1, :]
-    out[:-1, :] -= inv_hx2 * u[1:, :]
-    out[:, 1:] -= inv_hy2 * u[:, :-1]
-    out[:, :-1] -= inv_hy2 * u[:, 1:]
+    # 5-point minus-Laplacian of an (mx, my) field: one copy framed by the
+    # zero boundary values, then one expression over its shifted views
+    g = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
+    g[1:-1, 1:-1] = u
+    out[:] = ((2.0 * inv_hx2 + 2.0 * inv_hy2) * u
+              - inv_hx2 * (g[:-2, 1:-1] + g[2:, 1:-1])
+              - inv_hy2 * (g[1:-1, :-2] + g[1:-1, 2:]))
     return out
 
 
@@ -107,65 +118,70 @@ def local_minres(r, P, coeff, hx, hy, v, kappa, poisson):
     The operator is symmetric but indefinite once P exceeds the low modes
     of coeff*(-lap), so the solver is MINRES (Paige & Saunders, SIAM J.
     Numer. Anal. 12, 1975; Elman, Silvester & Wathen, *Finite Elements and
-    Fast Iterative Solvers*, ch. 2) preconditioned by the SPD coeff*(-lap),
-    inverted exactly by ``poisson``, the grid's ``sine_solver``.  The
-    potential and the rank-one term make the preconditioned operator the
-    identity plus a compact term, so the iteration count does not grow
-    with the grid.  One iteration costs one stencil, one sine solve and
-    three dot products; it stops once the preconditioned residual falls
-    below MINRES_RTOL times its start.
+    Fast Iterative Solvers*, ch. 2) preconditioned by the SPD coeff*(-lap).
+    It runs on sine coefficients, in the eigenbasis of ``poisson`` (the
+    grid's ``SineSolver``), where coeff*(-lap) is the diagonal D^2 =
+    coeff*lam: MINRES solves D^-1 S A S D^-1 z = D^-1 S r, x = S D^-1 z,
+    with S the orthonormal sine transform.  That operator is the identity
+    minus D^-1 S P S D^-1 plus a rank-one term, so an iteration costs two
+    transforms and one dot product for the rank-one term, with no stencil
+    or Poisson solve, and the iteration count does not grow with the
+    grid.  It stops once the preconditioned residual falls below
+    MINRES_RTOL times its start.
 
     The iteration is capped at 2*mx*my: exact arithmetic needs at most
     mx*my, but round-off can delay tiny indefinite grids a few steps past
-    it.  After the stop, a true residual |r - A x| above
-    LOCAL_RESIDUAL_TOL |r|, or a non-finite x, raises
+    it.  An exact breakdown (a zero Givens gamma), a true residual
+    |r - A x| above LOCAL_RESIDUAL_TOL |r| or a non-finite x raises
     np.linalg.LinAlgError: the operator is singular or too close to it.
+    The true residual applies A with the physical stencil
+    (``lap2d_apply``), so it does not rest on the basis.
     """
     mx, my = r.shape
-    ihx2, ihy2 = 1.0 / hx**2, 1.0 / hy**2
-    Aq = np.empty_like(r)
+    S = poisson.transform
+    d = 1.0 / np.sqrt(coeff * poisson.lam)
+    vs = d * S(v)
 
-    def apply(q):
-        lap2d_apply(q, Aq, ihx2, ihy2)
-        return coeff * Aq - P * q + (kappa * np.vdot(v, q)) * v
+    def apply(z):
+        return z - d * S(P * S(d * z)) + (kappa * np.vdot(vs, z)) * vs
 
-    # numpy scalars: a zero gamma (singular tridiagonal) gives nan for the
-    # check below, where Python floats would raise ZeroDivisionError
-    x = np.zeros_like(r)
-    r1 = r2 = r
-    y = poisson(r) / coeff
-    beta1 = beta = np.sqrt(max(np.vdot(r, y), 0.0))
-    dbar = epsln = sn = 0.0
+    b = d * S(r)
+    z = np.zeros_like(b)
+    r1 = r2 = b
+    beta1 = beta = math.sqrt(np.vdot(b, b))
+    oldb = dbar = epsln = sn = 0.0
     cs = -1.0
     phibar = beta1
-    w = w2 = np.zeros_like(r)
+    w = w2 = np.zeros_like(b)
     for it in range(2 * mx * my):
         if phibar <= MINRES_RTOL * beta1:
             break
-        q = y / beta
+        q = r2 / beta
         y = apply(q)
         if it > 0:
             y -= (beta / oldb) * r1
-        alfa = np.vdot(q, y)
+        alfa = float(np.vdot(q, y))
         y -= (alfa / beta) * r2
         r1, r2 = r2, y
-        y = poisson(r2) / coeff
-        oldb = beta
-        beta = np.sqrt(max(np.vdot(r2, y), 0.0))
+        oldb, beta = beta, math.sqrt(np.vdot(y, y))
         # QR of the Lanczos tridiagonal by one more Givens rotation
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = np.hypot(gbar, beta)
+        gamma = math.hypot(gbar, beta)
+        if not 0.0 < gamma < math.inf:
+            raise np.linalg.LinAlgError("local operator is singular to working precision")
         cs, sn = gbar / gamma, beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
         w1, w2 = w2, w
         w = (q - oldeps * w1 - delta * w2) / gamma
-        x += phi * w
-    res = r - apply(x)
+        z += phi * w
+    x = S(d * z)
+    Ax = lap2d_apply(x, np.empty_like(x), 1.0 / hx**2, 1.0 / hy**2)
+    res = r - (coeff * Ax - P * x + (kappa * np.vdot(v, x)) * v)
     if not (np.all(np.isfinite(x))
             and np.vdot(res, res) <= LOCAL_RESIDUAL_TOL**2 * np.vdot(r, r)):
         raise np.linalg.LinAlgError("local operator is singular to working precision")

@@ -220,7 +220,8 @@ def _solve_checks(lines, mesh, params, config, regime):
         _check(lines, "converged", False, str(exc))
         return []
     _check(lines, "converged", out.converged,
-           f"solver={out.solver}, iterations={out.iterations}")
+           f"solver={out.solver}, iterations={out.iterations}"
+           + ("" if out.converged or not out.message else f", {out.message}"))
     _check(lines, "positivity", out.positivity == "strictly-positive",
            f"positivity: {out.positivity}")
     _check(lines, "residual", out.residual <= config.tol,

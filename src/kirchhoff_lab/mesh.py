@@ -24,8 +24,10 @@ which the solvers rely on when they differentiate the energy.
 
 Linear solves are direct: Thomas elimination on the tridiagonal 1-D
 operators; on rectangles a sine transform in both x and y
-(``_kernels.sine_solver``), so no rectangle matrix is ever assembled or
-factored.
+(``_kernels.SineSolver``), so no rectangle matrix is ever assembled or
+factored.  That transform is the eigenbasis of the rectangle's stencil,
+built once per mesh (``sine_poisson``): Newton's MINRES runs on its
+coefficients, and it gives the exact discrete first mode.
 
 Quadrature is the nodal rectangle rule, which coincides with the
 trapezoid rule here because boundary values vanish.
@@ -242,11 +244,11 @@ def laplacian_apply(mesh: DomainMesh, u) -> GridFunction:
     return GridFunction(mesh, out)
 
 
-def sine_poisson(mesh: DomainMesh):
-    """The rectangle's sine-transform Poisson solver (``_kernels.sine_solver``),
-    built once per mesh and kept in ``mesh.cache``."""
+def sine_poisson(mesh: DomainMesh) -> _kernels.SineSolver:
+    """The rectangle's stencil eigenbasis and sine-transform Poisson solver
+    (``_kernels.SineSolver``), built once per mesh and kept in ``mesh.cache``."""
     if "sine_poisson" not in mesh.cache:
-        mesh.cache["sine_poisson"] = _kernels.sine_solver(*mesh.shape, *mesh.spacing)
+        mesh.cache["sine_poisson"] = _kernels.SineSolver(*mesh.shape, *mesh.spacing)
     return mesh.cache["sine_poisson"]
 
 
@@ -254,7 +256,7 @@ def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     """Solve minus-Laplacian u = rhs exactly (up to round-off).
 
     Tridiagonal elimination for interval/ball meshes; on rectangles a sine
-    transform in x and in y (``_kernels.sine_solver``).
+    transform in x and in y (``_kernels.SineSolver``).
     """
     vals = _values(mesh, rhs)
     if mesh.kind == "rectangle":
@@ -269,7 +271,7 @@ def dense_operator(mesh: DomainMesh) -> np.ndarray:
     """Assemble the tridiagonal minus-Laplacian of an interval or ball as a
     dense matrix.  Rectangles have no dense form here: their Poisson solves
     go through the sine transform, their whole Newton Jacobian through
-    MINRES preconditioned by it (``_kernels.local_minres``)."""
+    MINRES on its coefficients (``_kernels.local_minres``)."""
     if mesh.kind == "rectangle":
         raise MeshError("dense_operator covers interval and ball meshes only")
     sub, diag, sup = mesh.stencil
@@ -290,16 +292,15 @@ def h1_seminorm(mesh: DomainMesh, u) -> float:
     """
     vals = _values(mesh, u)
     if mesh.kind == "rectangle":
-        mx, my = mesh.shape
+        # interior faces, then the boundary-adjacent ones, whose outer
+        # neighbour is the zero boundary value
         hx, hy = mesh.spacing
-        px = np.zeros((mx + 2, my))
-        px[1:-1, :] = vals
-        py = np.zeros((mx, my + 2))
-        py[:, 1:-1] = vals
-        dx = np.diff(px, axis=0)
-        dy = np.diff(py, axis=1)
-        q = np.sum(dx * dx) * hy / hx + np.sum(dy * dy) * hx / hy
-        return float(np.sqrt(q))
+        dx = vals[1:] - vals[:-1]
+        dy = vals[:, 1:] - vals[:, :-1]
+        qx = np.vdot(dx, dx) + np.vdot(vals[0], vals[0]) + np.vdot(vals[-1], vals[-1])
+        qy = (np.vdot(dy, dy) + np.vdot(vals[:, 0], vals[:, 0])
+              + np.vdot(vals[:, -1], vals[:, -1]))
+        return float(np.sqrt(qx * hy / hx + qy * hx / hy))
     if mesh.kind == "ball":
         # origin node is interior; only the outer boundary pads with zero
         ext = np.empty(mesh.shape[0] + 1)
@@ -335,9 +336,9 @@ def l2_inner(mesh: DomainMesh, u, v) -> float:
 # spectral constants
 
 
-# principal_eigenpair stops at 0.01 * EIGEN_TOL relative change of the
-# Rayleigh quotient; phi1 is then only accurate to about the square root of
-# that test, ~1e-7 in sup norm
+# principal_eigenpair's inverse iteration (interval and ball) stops at
+# 0.01 * EIGEN_TOL relative change of the Rayleigh quotient; phi1 is then
+# only accurate to about the square root of that test, ~1e-7 in sup norm
 EIGEN_TOL = 1e-10
 EIGEN_MAX_ITER = 400
 
@@ -345,14 +346,22 @@ EIGEN_MAX_ITER = 400
 def principal_eigenpair(mesh: DomainMesh):
     """First Dirichlet eigenvalue and a positive eigenfunction, sup norm 1.
 
-    Inverse power iteration with Rayleigh-quotient estimates; the
-    eigenvalue converges at the square of the eigenvector rate.  Fixed
-    tolerance: successive estimates agree to 1e-12 relative, within 400 sweeps.
-    So the eigenvalue is accurate to about 1e-12 but phi1 only to about the
-    square root of that test, ~1e-7 in sup norm (2.5e-7 against the exact
-    discrete mode sin(pi x/Lx) sin(pi y/Ly) on rectangle (1.0, 1.5) at
-    (17, 13)).  phi1 only seeds iterates, where that does no harm.
+    On a rectangle both are exact to round-off: the first columns of the
+    cached sine basis (``sine_poisson``) give the discrete mode
+    sin(pi x/Lx) sin(pi y/Ly) at the nodes, with eigenvalue
+    mu_x[0] + mu_y[0].
+
+    Intervals and balls use inverse power iteration with Rayleigh-quotient
+    estimates; the eigenvalue converges at the square of the eigenvector
+    rate.  Fixed tolerance: successive estimates agree to 1e-12 relative,
+    within 400 sweeps.  So the eigenvalue is accurate to about 1e-12 but
+    phi1 only to about the square root of that test, ~1e-7 in sup norm.
+    phi1 only seeds iterates, where that does no harm.
     """
+    if mesh.kind == "rectangle":
+        basis = sine_poisson(mesh)
+        phi = np.outer(basis.Qx[:, 0], basis.Qy[:, 0])
+        return float(basis.lam[0, 0]), GridFunction(mesh, phi / np.max(phi))
     v = np.ones(mesh.shape)
     lam = 0.0
     for _ in range(EIGEN_MAX_ITER):

@@ -8,13 +8,13 @@ Four procedures, matched to the exponent regimes:
   0 <= u_n <= psi0 at every step; the only tool that survives regime C.
 * ``newton_nonlocal``     -- damped Newton on the strong-form residual.
   The Jacobian is a local operator plus the rank-one term coming from
-  differentiating |grad u|^{2 alpha}; one sine-preconditioned MINRES
-  solve takes it whole on rectangles, dense LU plus Sherman-Morrison on
-  the 1-D meshes.  It stops converged, or with one of "singular local
-  operator", "rank-one update degenerate" (1-D only), "damping below
-  floor at residual ..." (no step fraction down to 1/8 lowers the
-  residual), "iterates blew up" or "max iterations reached" in
-  ``message``.
+  differentiating |grad u|^{2 alpha}; one MINRES solve on sine
+  coefficients takes it whole on rectangles, dense LU plus
+  Sherman-Morrison on the 1-D meshes.  It stops converged, or with one
+  of "singular local operator", "rank-one update degenerate" (1-D
+  only), "damping below floor at residual ..." (no step fraction down
+  to 1/8 lowers the residual), "iterates blew up" or "max iterations
+  reached" in ``message``.
 * ``descent_minimize``    -- Armijo backtracking on the energy with the
   Poisson-preconditioned gradient, optionally confined to the trust ball
   |grad u| <= rho0 (regime B's local minimizer), with a guarded Newton
@@ -259,10 +259,12 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     K^{alpha-1}.  Nodes with u <= 0 carry zero potential derivative.
 
     On rectangles W = hx*hy, so the whole Jacobian is symmetric and one
-    MINRES run (``_kernels.local_minres``, preconditioned by the sine
-    transform) solves it: potential and rank-one term are a compact
-    perturbation of coeff*(-lap), so a handful of iterations reach
-    round-off, and nothing is assembled or factored.  Interval and ball
+    MINRES run (``_kernels.local_minres``) solves it on sine coefficients,
+    in the mesh's cached stencil eigenbasis (``sine_poisson``), where
+    coeff*(-lap) and its preconditioner are diagonal: potential and
+    rank-one term are a compact perturbation of coeff*(-lap), so a handful
+    of iterations reach round-off, each with two transforms and no
+    stencil, and nothing is assembled or factored.  Interval and ball
     meshes keep the dense matvec and a dense LU of the local part for
     (-F, -lap u), combined by Sherman-Morrison.  Each step writes the
     entries of coeff*A - diag(pot) into the three diagonals of one zeroed

@@ -17,6 +17,8 @@ Everything here deliberately avoids the solver machinery it certifies:
   ``homogeneous_shooting`` solves the unforced problem by exact scaling,
   and ``kirchhoff_shooting`` uses it at lambda = 0; forced, it runs a
   secant outer loop on the nonlocal coefficient from the linear shot.
+  On a ball with p >= 2* both refuse the unforced problem, which has no
+  positive solution there.
 * ``uniqueness_probe``   -- multi-start counting plus the contraction
   quantity whose smallness certifies at-most-one.
 * ``supnorm_decay_scan`` -- the small-lambda vanishing law and the
@@ -43,7 +45,7 @@ from .mesh import (
     poisson_solve,
     sup_norm,
 )
-from .problem import ProblemParams, regime_letter
+from .problem import ProblemParams, regime_letter, two_star
 from .scalar_reduction import _brent, consistency_root, kirchhoff_linear_solve
 from .solvers import (SolverConfig, SolveOutcome, battery, descent_minimize,
                       multi_start, newton_nonlocal)
@@ -404,7 +406,19 @@ class HomogeneousProbe:
 
 
 def _homogeneous_probes(mesh: DomainMesh, p: float, alpha: float, bs) -> list:
-    """homogeneous_shooting at each b in bs, from one shot of the base profile."""
+    """homogeneous_shooting at each b in bs, from one shot of the base profile.
+
+    Raises ``ConvergenceError`` without a shot in dimension >= 3 when
+    p >= 2*: the Pohozaev identity rules out any positive solution of the
+    unforced problem on a ball (Pohozaev, Soviet Math. Dokl. 6, 1965), and
+    the unforced equation reduces to the semilinear one by scaling.  A
+    root found there would be a grid artefact, whose center value grows
+    without bound as h -> 0.
+    """
+    if mesh.dim >= 3 and p >= two_star(mesh.dim):
+        raise ConvergenceError(
+            f"no positive unforced solution for p = {p:g} >= 2* = "
+            f"{two_star(mesh.dim):g} on a ball (Pohozaev nonexistence theorem)")
     setup = _ShootingSetup(mesh, None)
     prof, dprof = _center_value(setup, p, 1.0, 0.0)
     boundary_defect = abs(float(prof[-1]))
@@ -432,7 +446,8 @@ def homogeneous_shooting(mesh: DomainMesh, p: float, alpha: float,
     G = |grad w|^{2 alpha} of the base profile.  Above the threshold the
     map stays above the diagonal and no solution exists; below it the
     smallest root is returned along with the scaled profile.  A floor
-    that overflows a double (p just above 1) raises ``ConvergenceError``.
+    that overflows a double (p just above 1) raises ``ConvergenceError``,
+    and so does a ball with p >= 2*, where no positive solution exists.
     """
     return _homogeneous_probes(mesh, p, alpha, [b])[0]
 
@@ -442,7 +457,8 @@ def kirchhoff_shooting(mesh: DomainMesh, params: ProblemParams,
     """Shooting oracle for the full nonlocal problem.
 
     For lambda = 0 the unforced profile scales exactly: the profile of
-    ``homogeneous_shooting``, or ``ConvergenceError`` without a root.
+    ``homogeneous_shooting``, or ``ConvergenceError`` without a root or,
+    on a ball with p >= 2*, at once by the Pohozaev nonexistence theorem.
     Forced, ``f_fn`` is the coordinate callable for the forcing (the nodal
     field in ``params.f`` is never touched).  Inner loop: semilinear
     shooting with the coefficient frozen at (1+b t).  Outer loop: secant

@@ -411,6 +411,18 @@ def test_mountain_pass_check_says_why_it_stopped(tmp_path):
     assert "damping below floor at residual" in line
 
 
+def test_failed_primary_solve_check_says_why_it_stopped(tmp_path):
+    # the threshold scenario's data at lambda = 1e3: descent stops pinned to
+    # its trust ball, and the converged line carries that stop message
+    text = ("kind = verify\np = 4\nalpha = 1\nb = 1\nlambda = 1e3\n"
+            "f = constant 1.0\ndomain = ball 1.0 65\ntol = 1e-4\n")
+    code, out = run_cfg(tmp_path, text)
+    assert code == 1
+    line = (out / "report.txt").read_text().splitlines()[0]
+    assert line == ("CHECK converged: FAIL (solver=descent, iterations=9, "
+                    "minimizer pinned to the trust-ball boundary)")
+
+
 def test_run_verify_regime_b_certifies_two_solutions(tmp_path):
     # small lambda: the saddle search certifies, so the two-solution
     # checks that follow it run and pass

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ def test_laplacian_symmetry_and_dirichlet_form(mesh):
         q = l2_inner(mesh, u, Lu)
         s2 = h1_seminorm(mesh, u) ** 2
         assert abs(q - s2) <= 1e-12 * max(s2, 1.0)
+
+
+@given(
+    mx=st.integers(2, 30),
+    my=st.integers(2, 30),
+    Lx=st.floats(0.1, 10.0),
+    Ly=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_rectangle_seminorm_is_dirichlet_form(mx, my, Lx, Ly, seed):
+    # the face sums of h1_seminorm against <u, -lap_h u>_W by the stencil:
+    # the same quadratic form, summed in another order
+    mesh = build_mesh("rectangle", (Lx, Ly), (mx + 2, my + 2))
+    u = random_field(mesh, np.random.default_rng(seed))
+    s2 = h1_seminorm(mesh, u) ** 2
+    q = l2_inner(mesh, u, laplacian_apply(mesh, u))
+    assert abs(s2 - q) <= 1e-13 * s2
 
 
 @pytest.mark.parametrize(
@@ -291,6 +310,41 @@ def test_local_minres_singular_reports_failure():
     with pytest.raises(np.linalg.LinAlgError):
         _kernels.local_minres(r, P, coeff, *mesh.spacing, np.ones(mesh.shape), 0.0,
                               sine_poisson(mesh))
+
+
+@pytest.mark.parametrize("perturb", ["eigenvalues", "basis"])
+def test_local_minres_perturbed_basis_trips_residual_check(perturb):
+    # MINRES runs on sine coefficients, but its final residual is taken
+    # with the physical stencil: a basis that no longer diagonalises the
+    # stencil solves another operator, and that check must catch it
+    mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
+    rng = np.random.default_rng(17)
+    coeff = 2.5
+    P = rng.uniform(0.0, 4.0 * coeff * discrete_lam1(mesh), mesh.shape)
+    v = rng.standard_normal(mesh.shape)
+    r = rng.standard_normal(mesh.shape)
+    x = _kernels.local_minres(r, P, coeff, *mesh.spacing, v, 3.0, sine_poisson(mesh))
+    assert np.all(np.isfinite(x))
+    basis = _kernels.SineSolver(*mesh.shape, *mesh.spacing)
+    if perturb == "eigenvalues":
+        basis.lam = basis.lam * (1.0 + 1e-6)
+    else:
+        basis.Qx = basis.Qx + 1e-6 * rng.standard_normal(basis.Qx.shape)
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.local_minres(r, P, coeff, *mesh.spacing, v, 3.0, basis)
+
+
+def test_local_minres_zero_gamma_raises():
+    # with the identity for transform, unit eigenvalues and P = coeff = 1
+    # the preconditioned operator is exactly zero: the first Lanczos step
+    # breaks down with alfa = beta = 0, so the Givens gamma is exactly zero,
+    # which must raise LinAlgError, not ZeroDivisionError or a warning
+    mesh = build_mesh("rectangle", (1.0, 2.0), (9, 13))
+    basis = SimpleNamespace(transform=lambda R: R, lam=np.ones(mesh.shape))
+    r = np.random.default_rng(19).standard_normal(mesh.shape)
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.local_minres(r, np.ones(mesh.shape), 1.0, *mesh.spacing,
+                              np.zeros(mesh.shape), 0.0, basis)
 
 
 @given(
@@ -466,10 +520,30 @@ def test_rectangle_principal_eigenpair_closed_form():
     assert abs(lam - exact) <= 1e-12 * exact
     x, y = mesh.nodes
     mode = np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
-    # the iteration stops when the eigenvalue settles to 1e-12 relative; the
-    # eigenvector error is about the square root of the eigenvalue's, which
-    # leaves phi about 2.5e-7 from the mode here
-    assert np.max(np.abs(phi.values - mode / np.max(mode))) <= 1e-6
+    # the first columns of the sine basis: exact up to round-off
+    assert np.max(np.abs(phi.values - mode / np.max(mode))) <= 1e-14
+
+
+@pytest.mark.parametrize("extents, resolution", [
+    ((2.0, 0.5), (50, 9)),   # 48 x 7, even and odd node counts
+    ((1.0, 1.0), (4, 4)),    # 2 x 2, the smallest grid
+    ((3.0, 1.0), (49, 49)),
+])
+def test_rectangle_principal_eigenpair_is_the_discrete_mode(extents, resolution):
+    # the discrete sin*sin mode, sup norm 1, and mu_x[0] + mu_y[0], to
+    # round-off; the stencil maps phi to lam*phi
+    mesh = build_mesh("rectangle", extents, resolution)
+    lam, phi = principal_eigenpair(mesh)
+    (hx, hy), (Lx, Ly) = mesh.spacing, mesh.extents
+    mu_x = (4.0 / hx**2) * np.sin(np.pi * hx / (2.0 * Lx)) ** 2
+    mu_y = (4.0 / hy**2) * np.sin(np.pi * hy / (2.0 * Ly)) ** 2
+    assert lam == pytest.approx(mu_x + mu_y, rel=1e-14)
+    x, y = mesh.nodes
+    mode = np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
+    assert np.max(np.abs(phi.values - mode / np.max(mode))) <= 1e-14
+    assert np.min(phi.values) > 0.0 and np.max(phi.values) == 1.0
+    Lphi = laplacian_apply(mesh, phi).values
+    assert np.max(np.abs(Lphi - lam * phi.values)) <= 1e-12 * lam
 
 
 def test_ball_principal_eigenvalue_near_pi_squared():
