@@ -29,9 +29,12 @@ GATES = {
     "newton-1d.energy.eval.calls": 2000,
     # Newton steps and residual evaluations: a step that no fraction down
     # to the damping floor 1/8 improves ends its solve after 4 trials, and
-    # each multi-start begins at the energy's critical point on its ray
+    # each multi-start begins at the energy's critical point on its ray;
+    # a solve evaluates its start once and each line-search trial once,
+    # the accepted trial's residual serving the next step (1218 when that
+    # residual was recomputed)
     "newton-1d.solvers.newton.steps": 440,
-    "newton-1d.solvers.newton.residual_evals": 1218,
+    "newton-1d.solvers.newton.residual_evals": 917,
     "radial-oracle.solvers.newton.steps": 21,
     # Poisson solves: descent's start takes one membership witness, not
     # two, and the embedding minimizer starts from the cached eigenpair
@@ -43,13 +46,15 @@ GATES = {
     # rectangle Poisson solves by sine transform: membership witnesses,
     # Picard, descent and the torsion (the first eigenpair is read off the
     # cached sine basis); Newton steps; stencil applications: Newton's
-    # residuals plus one true-residual check per MINRES solve, whose
-    # iterations run on sine coefficients without the stencil.  The
-    # uniqueness probe reuses the verify run's descent
+    # residuals, one per solve's start and one per line-search trial (101
+    # when each accepted trial was evaluated again), plus one true-residual
+    # check per MINRES solve, whose iterations run on sine coefficients
+    # without the stencil.  The uniqueness probe reuses the verify run's
+    # descent
     "newton-2d.mesh.poisson_solve.self_s": 0.03,
     "newton-2d.mesh.poisson_solve.calls": 8,
     "newton-2d.solvers.newton.steps": 36,
-    "newton-2d.kernels.lap2d.calls": 101,
+    "newton-2d.kernels.lap2d.calls": 76,
 }
 
 

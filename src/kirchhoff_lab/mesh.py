@@ -271,11 +271,17 @@ def dense_operator(mesh: DomainMesh) -> np.ndarray:
     """Assemble the tridiagonal minus-Laplacian of an interval or ball as a
     dense matrix.  Rectangles have no dense form here: their Poisson solves
     go through the sine transform, their whole Newton Jacobian through
-    MINRES on its coefficients (``_kernels.local_minres``)."""
+    MINRES on its coefficients (``_kernels.local_minres``).  The three
+    diagonals are written into one zeroed matrix, with no temporaries."""
     if mesh.kind == "rectangle":
         raise MeshError("dense_operator covers interval and ball meshes only")
     sub, diag, sup = mesh.stencil
-    return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    n = diag.size
+    A = np.zeros((n, n))
+    A.flat[::n + 1] = diag
+    A.flat[n::n + 1] = sub[1:]
+    A.flat[1::n + 1] = sup[:-1]
+    return A
 
 
 # ---------------------------------------------------------------------------

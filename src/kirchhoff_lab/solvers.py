@@ -36,6 +36,7 @@ the energy's first critical point along it, and deduplicates, which is
 how uniqueness and nonexistence get probed.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,8 +81,14 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        # a Python int for ``_uniform_draws``; numpy integers are accepted
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -276,10 +283,12 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     Each step backtracks from the full step, halving the fraction s while
     s >= DAMPING_FLOOR (Deuflhard's damping floor, *Newton Methods for
     Nonlinear Problems*, ch. 3), so a hopeless step costs 4 residuals.
-    The floor is 1/8 because no converged solve of the benchmark
-    scenarios (25 seeds) takes a step below 1/4, while a solve above the
-    fold creeps on by steps below 1/8 that mostly lower the residual by
-    under 3%.
+    The accepted trial's residual pieces serve the next step, so a solve
+    evaluates the residual once at its start and once per trial.  The
+    floor is 1/8 because no converged solve of the benchmark scenarios
+    (25 seeds) takes a step below 1/4, while a solve above the fold
+    creeps on by steps below 1/8 that mostly lower the residual by under
+    3%.
     Stop reasons other than residual <= tol, in ``message``:
 
     * "singular local operator" -- the solve failed (a singular LU, or
@@ -300,8 +309,9 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
         n = diag.size
         J = np.zeros((n, n))
     history = []
+    pieces = _newton_pieces(mesh, params, lam_f, u)
     for it in range(config.max_iter):
-        A, w, Lu, K, coeff, up, F = _newton_pieces(mesh, params, lam_f, u)
+        A, w, Lu, K, coeff, up, F = pieces
         res = float(np.max(np.abs(F)))
         history.append(res)
         if res <= config.tol:
@@ -341,9 +351,10 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
         s = 1.0
         while s >= DAMPING_FLOOR:
             trial = u + s * delta
-            _, _, _, _, _, _, Ft = _newton_pieces(mesh, params, lam_f, trial)
+            trial_pieces = _newton_pieces(mesh, params, lam_f, trial)
+            Ft = trial_pieces[-1]
             if np.all(np.isfinite(Ft)) and np.max(np.abs(Ft)) <= (1.0 - 1e-4 * s) * res:
-                u = trial
+                u, pieces = trial, trial_pieces
                 break
             s *= 0.5
         else:
@@ -652,25 +663,80 @@ def _ray_scale(params: ProblemParams, K: float, P: float, F: float) -> float:
     return best_t
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _uniform_draws(seed: int, n: int) -> list[float]:
+    """The first n doubles of ``np.random.default_rng(seed).uniform()``.
+
+    numpy's ``SeedSequence(seed)`` hashes the seed's 32-bit words into a
+    pool of four (words past the fourth are mixed in afterwards) and
+    expands the pool into four 64-bit words; PCG64 takes them as its
+    initial state and stream (state 0, one step, add the initial state,
+    one step), and each draw is one 128-bit LCG step, the XSL-RR output
+    (O'Neill, *PCG*, HMC-CS-2014-0905) and its top 53 bits times 2^-53.
+    Python ints keep numpy.random unimported, and NEP 19 freezes the
+    stream, not ``Generator``'s methods.
+    """
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v = (v ^ h) * (h := h * 0x931E8875 & _M32) & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for word in words[4:]:
+        pool = [mix(x, hashmix(word)) for x in pool]
+    h, out = 0x8B51F9DD, []
+    for i in range(8):
+        v = (pool[i % 4] ^ h) * (h := h * 0x58F38DED & _M32) & _M32
+        out.append(v ^ v >> 16)
+    # generate_state(4, uint64), low word first; PCG64 reads it as the
+    # 128-bit initial state s[0]:s[1] and stream s[2]:s[3]
+    s = [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+    inc = (s[2] << 65 | s[3] << 1 | 1) & _M128
+    x = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128
+    draws = []
+    for _ in range(n):
+        x = (x * _PCG_MULT + inc) & _M128
+        r, y = x >> 122, (x >> 64 ^ x) & _M64
+        y = (y >> r | y << (64 - r)) & _M64
+        draws.append((y >> 11) * 2.0**-53)
+    return draws
+
+
 def multi_start(mesh: DomainMesh, params: ProblemParams, config: SolverConfig,
                 priors) -> list[SolveOutcome]:
     """Distinct converged positive solutions from seeded Newton starts.
 
     Newton starts from each field in ``priors``, in order, then from
-    ``MULTI_STARTS`` seeded rays v = c1*phi1 + c2*torsion, with c1, c2
-    drawn uniformly from (0, 1) by ``config.seed``: the seed picks the
-    direction of each start, ``_ray_scale`` its length, so each start is
-    the energy's critical point t* v on its ray and not an arbitrarily
-    large field that Newton's first steps only shrink.  Nothing caps the
-    amplitude.  Deduplication is by sup distance at 10*tol, keeping the
-    lower-energy representative; the result is sorted by energy.
+    ``MULTI_STARTS`` seeded rays v = c1*phi1 + c2*torsion, with c1, c2 in
+    [0, 1) the first 2*MULTI_STARTS uniforms of numpy's PCG64 stream for
+    ``config.seed``, read row by row (``_uniform_draws``), computed
+    without numpy's ``Generator``: the seed picks the direction of each
+    start, ``_ray_scale`` its length, so each start is the energy's
+    critical point t* v on its ray and not an arbitrarily large field
+    that Newton's first steps only shrink.  Nothing caps the amplitude.
+    Deduplication is by sup distance at 10*tol, keeping the lower-energy
+    representative; the result is sorted by energy.
     """
-    rng = np.random.default_rng(config.seed)
     _, phi1 = constants.eigenpair(mesh)
     psi = constants.torsion(mesh).values
     lam_f = forcing_values(mesh, params)
     initials = list(priors)
-    for c1, c2 in rng.uniform(size=(MULTI_STARTS, 2)):
+    draws = _uniform_draws(config.seed, 2 * MULTI_STARTS)
+    for c1, c2 in zip(draws[::2], draws[1::2]):
         v = c1 * phi1.values + c2 * psi
         K = h1_seminorm(mesh, v) ** 2
         P = float(np.sum(mesh.weights * v ** (params.p + 1.0)))

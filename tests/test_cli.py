@@ -1,5 +1,9 @@
 """Config parsing and end-to-end CLI runs against temp directories."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -446,3 +450,21 @@ def test_byte_identical_reruns(tmp_path):
         outs.append(out)
     for name in ("branch.csv", "report.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_regime_a_verify_leaves_numpy_random_unimported(tmp_path):
+    # the uniqueness probe's multi-start rays come from
+    # solvers._uniform_draws, so a fresh verify run never loads numpy.random
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(SOLVE_A.replace("kind = solve", "kind = verify"), encoding="utf-8")
+    out = tmp_path / "out"
+    script = ("import sys\nfrom kirchhoff_lab.cli import main\n"
+              f"code = main(['run', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "False"]
+    assert "CHECK solutions-found: PASS" in (out / "report.txt").read_text()

@@ -229,6 +229,15 @@ def test_dense_operator_matches_apply():
         dense_operator(rect)
 
 
+@pytest.mark.parametrize("kind", ["interval", "ball"])
+@pytest.mark.parametrize("n", [5, 65, 513])
+def test_dense_operator_is_sum_of_diagonal_matrices(kind, n):
+    # written into one zeroed matrix, bit for bit the sum of three np.diag
+    sub, diag, sup = build_mesh(kind, 1.0, n).stencil
+    summed = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    assert dense_operator(build_mesh(kind, 1.0, n)).tobytes() == summed.tobytes()
+
+
 def negative_eigenvalue_count(M, my):
     """Negative eigenvalues of a symmetric block-tridiagonal M with (my, my)
     blocks: by Haynsworth's inertia additivity they are those of its Schur

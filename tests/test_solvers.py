@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchhoff_lab import constants, solvers
 from kirchhoff_lab.energy import energy_eval, energy_gradient
@@ -335,11 +337,13 @@ def _count_residuals(monkeypatch):
     return calls
 
 
-def _trials_per_step(calls):
-    # the accepted trial and the next iterate are the same field, so every
-    # iterate after the first repeats the residual just before it
-    starts = [0] + [i for i in range(1, len(calls)) if calls[i] == calls[i - 1]]
-    return [b - a - 1 for a, b in zip(starts, starts[1:])]
+def _trials_per_step(calls, history):
+    # calls[0] is the start's residual; each step's trials end at the
+    # accepted one, whose residual is the history's next entry
+    ends = [0]
+    for res in history[1:]:
+        ends.append(calls.index(res, ends[-1] + 1))
+    return [b - a for a, b in zip(ends, ends[1:])]
 
 
 def test_newton_hopeless_step_stops_at_damping_floor(monkeypatch):
@@ -380,9 +384,38 @@ def test_newton_converges_through_damped_steps(interval, monkeypatch):
     out = newton_nonlocal(interval, params, SolverConfig(), -3.0 * phi1)
     assert out.converged
     assert out.positivity == "strictly-positive"
-    trials = _trials_per_step(calls)
+    trials = _trials_per_step(calls, out.residual_history)
     assert len(trials) == out.iterations
     assert 3 in trials
+
+
+def test_newton_evaluates_each_field_once(interval, monkeypatch):
+    # one residual evaluation per line-search trial plus one at the start:
+    # the accepted trial's pieces serve the next step instead of being
+    # recomputed on the same array (the damped solve above, 3 trials in one
+    # step)
+    params = ProblemParams(b=10.0, alpha=1.0, p=2.0, lam=10.0, f=const_one(interval))
+    _, phi1 = constants.eigenpair(interval)
+    fields = []
+    pieces = solvers._newton_pieces
+
+    def recording(mesh, params, lam_f, u):
+        fields.append(u.copy())
+        return pieces(mesh, params, lam_f, u)
+
+    monkeypatch.setattr(solvers, "_newton_pieces", recording)
+    calls = _count_residuals(monkeypatch)
+    start = -3.0 * phi1
+    out = newton_nonlocal(interval, params, SolverConfig(), start)
+    assert out.converged
+    assert np.array_equal(fields[0], start.values.ravel())
+    for a, b in zip(fields, fields[1:]):
+        assert not np.array_equal(a, b)
+    # the start, one accepted trial per step, and the rejected trials,
+    # whose residuals the history does not record
+    rejected = [r for r in calls if r not in out.residual_history]
+    assert 3 in _trials_per_step(calls, out.residual_history)
+    assert len(calls) == len(fields) == 1 + out.iterations + len(rejected)
 
 
 def test_newton_reports_rank_one_update_degenerate(interval, monkeypatch):
@@ -826,10 +859,47 @@ def newton_starts(monkeypatch):
     return calls
 
 
+def _numpy_draws(seed):
+    return np.random.default_rng(seed).uniform(size=(8, 2)).ravel().tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+def test_uniform_draws_match_numpy_pcg64(seed):
+    # one and two 32-bit seed words, the uint64 edge, and past four words
+    # (10^30 < 2^128 <= the hypothesis range below)
+    assert solvers._uniform_draws(seed, 16) == _numpy_draws(seed)
+
+
+def test_uniform_draws_match_numpy_on_benchmark_pass_seeds():
+    for k in range(100):
+        seed = 42 + 1_000_000 * k
+        assert solvers._uniform_draws(seed, 16) == _numpy_draws(seed), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**256 - 1))
+def test_uniform_draws_match_numpy_any_seed(seed):
+    assert solvers._uniform_draws(seed, 16) == _numpy_draws(seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_solver_config_rejects_non_integral_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SolverConfig(seed=seed)
+
+
+def test_solver_config_seed_is_a_python_int():
+    cfg = SolverConfig(seed=np.int64(7))
+    assert type(cfg.seed) is int and cfg.seed == 7
+    assert type(replace(cfg, seed=np.uint32(8)).seed) is int
+    with pytest.raises(ValueError, match="nonnegative"):
+        SolverConfig(seed=np.int64(-1))
+
+
 @pytest.mark.parametrize("seed", [0, 42])
 def test_multi_start_rays_keep_the_seeded_directions(ball, newton_starts, seed):
-    # the seed draws the same (c1, c2) as before the ray scaling, from
-    # (0, 1) instead of (0, cap): each start is a positive multiple of
+    # the seed draws the (c1, c2) of numpy's default_rng(seed).uniform()
+    # in [0, 1), read row by row: each start is a positive multiple of
     # c1*phi1 + c2*torsion
     params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=0.05, f=const_one(ball))
     multi_start(ball, params, SolverConfig(seed=seed), ())
