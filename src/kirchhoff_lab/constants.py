@@ -3,7 +3,8 @@
 Eigenpairs, embedding quotients, torsion functions and the dense 1-D
 operator matrices are pure functions of the mesh (and exponent), and several
 solver layers keep asking for them.  One cache, ``DomainMesh.cache``, keeps
-sweeps from recomputing them at every lambda and is freed with its mesh.
+sweeps from recomputing them at every lambda and is freed with its mesh;
+only the dense operator is ever written to, and restored (``dense_op``).
 """
 
 import numpy as np
@@ -47,7 +48,10 @@ def sobolev(mesh: DomainMesh, p: float):
 
 
 def dense_op(mesh: DomainMesh):
-    """Dense minus-Laplacian of an interval or ball (1-D Newton only)."""
+    """Dense minus-Laplacian of an interval or ball (1-D Newton only).  A
+    Newton step borrows it for its Jacobian for one np.linalg.solve and
+    restores it in a finally; the package is single-threaded, and nothing
+    may hold it across that call."""
     return _cached(mesh, "dense_op", lambda: dense_operator(mesh))
 
 

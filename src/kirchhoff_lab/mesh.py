@@ -267,6 +267,15 @@ def poisson_solve(mesh: DomainMesh, rhs) -> GridFunction:
     return GridFunction(mesh, x)
 
 
+def write_tridiagonal(M: np.ndarray, sub, diag, sup):
+    """Write three diagonals, laid out as ``mesh.stencil`` (sub[0] and
+    sup[-1] unused), into the square array M in place."""
+    n = diag.size
+    M.flat[::n + 1] = diag
+    M.flat[n::n + 1] = sub[1:]
+    M.flat[1::n + 1] = sup[:-1]
+
+
 def dense_operator(mesh: DomainMesh) -> np.ndarray:
     """Assemble the tridiagonal minus-Laplacian of an interval or ball as a
     dense matrix.  Rectangles have no dense form here: their Poisson solves
@@ -275,12 +284,9 @@ def dense_operator(mesh: DomainMesh) -> np.ndarray:
     diagonals are written into one zeroed matrix, with no temporaries."""
     if mesh.kind == "rectangle":
         raise MeshError("dense_operator covers interval and ball meshes only")
-    sub, diag, sup = mesh.stencil
-    n = diag.size
+    n = mesh.stencil[1].size
     A = np.zeros((n, n))
-    A.flat[::n + 1] = diag
-    A.flat[n::n + 1] = sub[1:]
-    A.flat[1::n + 1] = sup[:-1]
+    write_tridiagonal(A, *mesh.stencil)
     return A
 
 

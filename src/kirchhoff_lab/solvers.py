@@ -55,6 +55,7 @@ from .mesh import (
     poisson_solve,
     sine_poisson,
     sup_norm,
+    write_tridiagonal,
 )
 from .problem import (
     SIGN_TOL_FACTOR,
@@ -77,18 +78,21 @@ class SolverConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        # a Python int for ``_uniform_draws``; numpy integers are accepted
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        # an infinite tol would pass every residual check
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
+        # Python ints for the solvers' loops and ``_uniform_draws``; numpy
+        # integers are accepted
+        for name, least, bound in (("max_iter", 1, "at least 1"),
+                                   ("seed", 0, "nonnegative")):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be {bound}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -239,8 +243,9 @@ def picard_iterate(mesh: DomainMesh, params: ProblemParams,
 
 
 def _newton_pieces(mesh, params, lam_f, u):
-    # A is the dense 1-D operator, or None on rectangles, whose -lap u is
-    # the O(n) stencil
+    # A is the cached dense 1-D operator (a Newton step borrows it for one
+    # np.linalg.solve and restores it), or None on rectangles, whose -lap u
+    # is the O(n) stencil
     if mesh.kind == "rectangle":
         A = None
         Lu = laplacian_apply(mesh, u.reshape(mesh.shape)).values.ravel()
@@ -273,10 +278,12 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     of iterations reach round-off, each with two transforms and no
     stencil, and nothing is assembled or factored.  Interval and ball
     meshes keep the dense matvec and a dense LU of the local part for
-    (-F, -lap u), combined by Sherman-Morrison.  Each step writes the
-    entries of coeff*A - diag(pot) into the three diagonals of one zeroed
-    buffer per solve, in O(n).  The tridiagonal kernels would change the
-    round-off, and the energies of duplicate solutions in
+    (-F, -lap u), combined by Sherman-Morrison.  Each step writes
+    coeff*A - diag(pot) into the diagonals of the cached A itself for its
+    one np.linalg.solve and writes A back in a finally, so LAPACK's private
+    copy is the solve's only n x n array; the package is single-threaded,
+    and nothing may hold A across that call.  The tridiagonal kernels would
+    change the round-off, and the energies of duplicate solutions in
     ``distinct_positive`` tie to every printed digit, so which duplicate
     is kept would change with it.
 
@@ -304,10 +311,6 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
     lam_f = forcing_values(mesh, params).ravel()
     u = _values(mesh, initial).ravel().copy()
     scale = 1.0 + float(np.max(np.abs(lam_f)))
-    if mesh.kind != "rectangle":
-        sub, diag, sup = mesh.stencil
-        n = diag.size
-        J = np.zeros((n, n))
     history = []
     pieces = _newton_pieces(mesh, params, lam_f, u)
     for it in range(config.max_iter):
@@ -327,10 +330,12 @@ def newton_nonlocal(mesh: DomainMesh, params: ProblemParams, config: SolverConfi
                     -F.reshape(mesh.shape), pot.reshape(mesh.shape), coeff, hx, hy,
                     Lu.reshape(mesh.shape), kappa * hx * hy, sine_poisson(mesh))
             else:
-                J.flat[::n + 1] = coeff * diag - pot
-                J.flat[n::n + 1] = coeff * sub[1:]
-                J.flat[1::n + 1] = coeff * sup[:-1]
-                X = np.linalg.solve(J, np.column_stack((-F, Lu)))
+                sub, diag, sup = mesh.stencil
+                write_tridiagonal(A, coeff * sub, coeff * diag - pot, coeff * sup)
+                try:
+                    X = np.linalg.solve(A, np.column_stack((-F, Lu)))
+                finally:
+                    write_tridiagonal(A, sub, diag, sup)
         except np.linalg.LinAlgError:
             X = None
         if X is None or not np.all(np.isfinite(X)):

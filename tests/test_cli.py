@@ -6,14 +6,16 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from kirchhoff_lab import cli, constants, solvers
 from kirchhoff_lab.cli import main, parse_config, run_experiment
 from kirchhoff_lab.continuation import ThresholdEstimate
 from kirchhoff_lab.exceptions import ConfigError
-from kirchhoff_lab.mesh import build_mesh
+from kirchhoff_lab.mesh import GridFunction, build_mesh, h1_seminorm
 from kirchhoff_lab.problem import ProblemParams, compute_b0
+from kirchhoff_lab.scalar_reduction import _brent
 
 SOLVE_A = """\
 kind = solve
@@ -468,3 +470,79 @@ def test_regime_a_verify_leaves_numpy_random_unimported(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["0", "False"]
     assert "CHECK solutions-found: PASS" in (out / "report.txt").read_text()
+
+
+# the mountain-pass scenario's data (regime B, descent) and the
+# supercritical scenario's (regime C, Picard), each with its primary solver
+TWIN_DATA = {
+    "mountain-pass": ("p = 4\nalpha = 1\nlambda = 0.05\n", "descent_minimize"),
+    "supercritical": ("p = 6\nalpha = 0.5\nlambda = 0.01\n", "picard_iterate"),
+}
+
+
+def _centre_twin(mesh, params, u):
+    """u with u_0 moved to the larger positive root of its centre equation.
+
+    The ball's origin node has zero weight and couples only to its own row
+    (sub[1] = 0), so K and every other row of the residual ignore u_0.  With
+    coeff fixed, g(t) = coeff (diag_0 t + sup_0 u_1) - t^p - lam f_0 is
+    concave in t > 0 with g(0) < 0: two positive roots, and u_0 is the
+    smaller one."""
+    _, diag, sup = mesh.stencil
+    K = h1_seminorm(mesh, u) ** 2
+    coeff = 1.0 + params.b * K**params.alpha
+    p, lam_f0 = params.p, params.lam * float(params.f.values[0])
+
+    def g(t):
+        return coeff * (diag[0] * t + sup[0] * u.values[1]) - t**p - lam_f0
+
+    top = (coeff * diag[0] / p) ** (1.0 / (p - 1.0))  # where g' = 0
+    hi = 2.0 * top
+    while g(hi) > 0.0:
+        hi *= 2.0
+    twin = u.values.copy()
+    twin[0] = _brent(g, top, hi, g(top), g(hi), 1e-15 * hi)
+    return GridFunction(mesh, twin)
+
+
+def _check_status(out):
+    return dict(ln[len("CHECK "):].split(" (")[0].split(": ")
+                for ln in (out / "report.txt").read_text().splitlines()
+                if ln.startswith("CHECK "))
+
+
+@pytest.mark.parametrize("data", list(TWIN_DATA))
+def test_ball_centre_twin_fails_only_shooting_agreement(tmp_path, monkeypatch, data):
+    """ROADMAP item 20's centre-spike twin on ball 65.
+
+    The twin differs from the verified solution only at node 0, where it
+    sits on the other root of the centre equation.  Newton converges from
+    it without leaving it, and of verify's checks only shooting-agreement
+    tells it from the solution: energy, residual, Pohozaev residual and
+    certificate ignore the zero-weight origin.  Once item 10 gives the
+    origin a weight the energy sees, the twin is no longer a solution, and
+    this test becomes "Newton no longer converges to the twin".
+    """
+    body, primary = TWIN_DATA[data]
+    text = "kind = verify\nb = 1\nf = constant 1.0\ndomain = ball 1.0 65\n" + body
+    solve, runs = getattr(solvers, primary), []
+
+    def newton_from_twin(mesh, params, config):
+        u = solve(mesh, params, config)
+        twin = solvers.newton_nonlocal(mesh, params, config,
+                                       _centre_twin(mesh, params, u.solution))
+        runs.append((u, twin))
+        return twin
+
+    _, out = run_cfg(tmp_path, text, name="solution.cfg")
+    monkeypatch.setattr(cli, primary, newton_from_twin)
+    _, twin_out = run_cfg(tmp_path, text, name="twin.cfg")
+    (u, twin), = runs
+    assert u.converged and twin.converged
+    assert twin.solution.values[0] > 1e3 * u.solution.values[0]
+    assert np.array_equal(twin.solution.values[1:], u.solution.values[1:])
+    status, twin_status = _check_status(out), _check_status(twin_out)
+    assert status.keys() == twin_status.keys()
+    assert status["shooting-agreement"] == "PASS"
+    assert {name for name in status if status[name] != twin_status[name]} == {
+        "shooting-agreement"}

@@ -10,6 +10,7 @@ Oracles used here:
   minimizer that starts the mountain-pass search is checked.
 """
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from kirchhoff_lab.forcing import make_forcing
 from kirchhoff_lab.mesh import (
     GridFunction,
     build_mesh,
+    dense_operator,
     h1_seminorm,
     laplacian_apply,
     lp_norm,
@@ -418,27 +420,101 @@ def test_newton_evaluates_each_field_once(interval, monkeypatch):
     assert len(calls) == len(fields) == 1 + out.iterations + len(rejected)
 
 
-def test_newton_reports_rank_one_update_degenerate(interval, monkeypatch):
-    # the 1-D direct path adds the rank-one term q Lu^T, q = kappa W Lu, by
-    # Sherman-Morrison; a stubbed local solve whose second column is
-    # x2 = -Lu / <q, Lu> makes its denominator 1 + <q, x2> vanish
-    params, psi = manufactured(interval)
-    kappa = 2.0 * params.alpha * params.b  # alpha = 1: independent of K
-    w = interval.weights
+def _solve_stub(exc=None, degenerate=None):
+    """np.linalg.solve for Newton's 1-D step: raising exc, or with the
+    second column x2 = -Lu / <q, Lu> that makes the Sherman-Morrison
+    denominator 1 + <q, x2> vanish for q = ``degenerate`` * Lu."""
     solve = np.linalg.solve
 
     def stub(M, rhs):
+        if exc is not None:
+            raise exc
         X = solve(M, rhs)
         Lu = rhs[:, 1]
-        X[:, 1] = -Lu / (kappa * float(np.sum(w * Lu * Lu)))
+        X[:, 1] = -Lu / float(np.sum(degenerate * Lu * Lu))
         return X
 
-    monkeypatch.setattr(np.linalg, "solve", stub)
+    return stub
+
+
+def test_newton_reports_rank_one_update_degenerate(interval, monkeypatch):
+    # the 1-D direct path adds the rank-one term q Lu^T, q = kappa W Lu, by
+    # Sherman-Morrison; a stubbed local solve makes its denominator vanish
+    params, psi = manufactured(interval)
+    kappa = 2.0 * params.alpha * params.b  # alpha = 1: independent of K
+    monkeypatch.setattr(np.linalg, "solve", _solve_stub(degenerate=kappa * interval.weights))
     out = newton_nonlocal(interval, params, SolverConfig(),
                           GridFunction(interval, 1.3 * psi.values))
     assert not out.converged
     assert out.message == "rank-one update degenerate"
     assert out.iterations == 0
+
+
+NEWTON_STOPS = ["converged", "damping below floor", "rank-one update degenerate",
+                "iterates blew up", "singular local operator", "RuntimeError"]
+
+
+@pytest.mark.parametrize("kind", ["interval", "ball"])
+@pytest.mark.parametrize("stop", NEWTON_STOPS)
+def test_newton_restores_borrowed_operator(kind, stop, monkeypatch):
+    # each 1-D step writes its Jacobian into the cached dense operator for
+    # one np.linalg.solve and writes the operator back in a finally; after
+    # every way out of a solve the cache holds the operator byte for byte
+    mesh = build_mesh(kind, (1.0,), 65)
+    reference = dense_operator(mesh).tobytes()
+    A = constants.dense_op(mesh)
+    _, phi1 = constants.eigenpair(mesh)
+    params, psi = manufactured(mesh)
+    start, config = 1.3 * psi, SolverConfig()
+    if stop == "damping below floor":
+        params = ProblemParams(b=1.0, alpha=1.0, p=4.0, lam=1.4e7, f=const_one(mesh))
+        start, config = phi1, SolverConfig(tol=1e-4)
+    elif stop == "iterates blew up":
+        params = ProblemParams(b=1.0, alpha=1.0, p=2.0, lam=1.0, f=const_one(mesh))
+        start = 1e14 * phi1
+    raised = {"singular local operator": np.linalg.LinAlgError("stub"),
+              "RuntimeError": RuntimeError("stub")}.get(stop)
+    stubbed = stop in ("rank-one update degenerate", "singular local operator",
+                       "RuntimeError")
+    seen = []
+    if stubbed:
+        stub = _solve_stub(raised, 2.0 * params.alpha * params.b * mesh.weights)
+
+        def recording(M, rhs):
+            seen.append(M is A and M.tobytes() != reference)
+            return stub(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+    if stop == "RuntimeError":
+        with pytest.raises(RuntimeError, match="stub"):
+            newton_nonlocal(mesh, params, config, start)
+    else:
+        out = newton_nonlocal(mesh, params, config, start)
+        assert out.converged == (stop == "converged")
+        assert out.message.startswith("" if out.converged else stop)
+    # a stubbed solve saw the Jacobian in the cached array itself
+    assert all(seen) and bool(seen) == stubbed
+    assert constants.dense_op(mesh) is A
+    assert A.tobytes() == reference
+
+
+def test_newton_1d_allocates_no_dense_matrix():
+    # with the operator cached, a solve on 511 unknowns holds O(n) arrays
+    # only: the Jacobian borrows the operator's storage, and LAPACK's copy
+    # inside np.linalg.solve is not a Python allocation
+    mesh = build_mesh("interval", (1.0,), 513)
+    params, psi = manufactured(mesh)
+    start = 1.3 * psi
+    n = constants.dense_op(mesh).shape[0]
+    forcing_values(mesh, params)
+    tracemalloc.start()
+    try:
+        out = newton_nonlocal(mesh, params, SolverConfig(), start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.converged and out.iterations >= 2
+    assert peak < n * n * 8
 
 
 def test_newton_reports_iterates_blew_up():
@@ -894,6 +970,27 @@ def test_solver_config_seed_is_a_python_int():
     assert type(replace(cfg, seed=np.uint32(8)).seed) is int
     with pytest.raises(ValueError, match="nonnegative"):
         SolverConfig(seed=np.int64(-1))
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_solver_config_rejects_non_finite_tol(tol):
+    # an infinite tol would certify every residual: Newton from 100 phi1
+    # on interval 513 reported converged at residual 4.87e7
+    with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tol}"):
+        SolverConfig(tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, "3"])
+def test_solver_config_rejects_non_integral_max_iter(max_iter):
+    with pytest.raises(ValueError, match=f"max_iter must be an integer, got {max_iter!r}"):
+        SolverConfig(max_iter=max_iter)
+
+
+def test_solver_config_max_iter_is_a_python_int():
+    cfg = SolverConfig(max_iter=np.int64(5))
+    assert type(cfg.max_iter) is int and cfg.max_iter == 5
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        SolverConfig(max_iter=np.int64(0))
 
 
 @pytest.mark.parametrize("seed", [0, 42])
